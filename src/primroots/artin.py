@@ -7,13 +7,17 @@ measured estimate of c(q).
 """
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .arith import DomainError, check_natural, is_perfect_square
-from .primroot import is_primitive_root_prime
-from .special_primes import germain_decompose, sieve_primes
+from .factorize import check_sieve_limit, distinct_prime_factors, prime_tuple, primes_upto
+from .primroot import is_primitive_root_prime, primitive_root_mask
+from .special_primes import germain_decompose
 
 DEFAULT_SCAN_CAP = 10**5
 _REFERENCE_CUTOFF = 10**6
@@ -74,12 +78,6 @@ class ScanSummary:
     germain_fraction: float
 
 
-@lru_cache(maxsize=4)
-def _cached_primes(limit):
-    # Scans re-enter with the same cap thousands of times; sieve once.
-    return tuple(sieve_primes(limit))
-
-
 @lru_cache(maxsize=8)
 def artin_constant(prime_cutoff: int) -> ArtinConstant:
     """Partial Euler product prod_{p <= cutoff} (1 - 1/(p(p-1))).
@@ -87,12 +85,12 @@ def artin_constant(prime_cutoff: int) -> ArtinConstant:
     tail_bound = 1/cutoff dominates the omitted log-product mass since
     sum_{n > N} 1/(n(n-1)) telescopes to 1/N.
     """
-    check_natural(prime_cutoff, "prime_cutoff")
+    check_sieve_limit(prime_cutoff, "prime_cutoff")
     if prime_cutoff < 2:
         raise DomainError(f"prime_cutoff must be >= 2, got {prime_cutoff}")
-    value = 1.0
-    for p in sieve_primes(prime_cutoff):
-        value *= 1.0 - 1.0 / (p * (p - 1))
+    primes = primes_upto(prime_cutoff)
+    # Sequential float64 product in ascending p, as a plain loop would take it.
+    value = float(np.cumprod(1.0 - 1.0 / (primes * (primes - 1)))[-1])
     return ArtinConstant(truncation=prime_cutoff, value=value,
                          tail_bound=1.0 / prime_cutoff)
 
@@ -118,14 +116,12 @@ def prime_counts(q: int, x: int) -> DensityReport:
     where every odd q has order 1 = p - 1, is excluded).
     """
     _check_base(q)
-    check_natural(x, "x")
+    check_sieve_limit(x, "x")
     if x < 3:
         raise DomainError(f"x must be >= 3, got {x}")
-    primes = sieve_primes(x)
-    pi_q = 0
-    for p in primes:
-        if p >= 3 and q % p != 0 and is_primitive_root_prime(q, p):
-            pi_q += 1
+    primes = primes_upto(x)
+    odd = primes[1:]
+    pi_q = int(np.count_nonzero(primitive_root_mask(q, odd, distinct_prime_factors(odd - 1))))
     return DensityReport(q=q, x=x, pi_x=len(primes), pi_q_x=pi_q,
                          density=pi_q / len(primes),
                          artin_reference=reference_artin_constant())
@@ -138,10 +134,10 @@ def least_prime_with_primitive_root(q: int, cap: int = DEFAULT_SCAN_CAP):
     when no prime <= cap qualifies (explicit exhaustion, not an error).
     """
     _check_base(q)
-    check_natural(cap, "cap")
+    check_sieve_limit(cap, "cap")
     if cap < 3:
         raise DomainError(f"cap must be >= 3, got {cap}")
-    for p in _cached_primes(cap):
+    for p in prime_tuple(cap):
         if p < 3 or q % p == 0:
             continue
         if is_primitive_root_prime(q, p):
@@ -176,19 +172,24 @@ def conjecture_scan(q_min: int, q_max: int, cap: int = DEFAULT_SCAN_CAP,
     """One ScanRecord per admissible q in [q_min, q_max], ascending.
 
     Squares and q < 2 are skipped automatically. With threads > 1 the
-    q-range is partitioned into contiguous chunks across worker processes;
-    chunks are merged in order, so output is deterministic either way.
-    progress, if given, is called as progress(done, total) after each chunk.
+    q-range is partitioned into contiguous chunks across worker processes,
+    at most min(threads, cpu count, chunk count) of them; chunks are merged
+    in order, so output is deterministic either way. progress, if given, is
+    called as progress(done, total) after each chunk.
     """
     check_natural(q_min, "q_min")
     check_natural(q_max, "q_max")
     if q_min > q_max:
         raise DomainError(f"empty scan range [{q_min}, {q_max}]")
-    check_natural(cap, "cap")
+    check_sieve_limit(cap, "cap")
+    if not isinstance(threads, int) or threads < 1:
+        raise DomainError(f"threads must be an integer >= 1, got {threads}")
+    threads = min(threads, os.cpu_count() or 1)
     span = q_max - q_min + 1
     chunk = max(1, min(2048, span // max(1, 4 * threads) + 1))
     bounds = [(lo, min(lo + chunk - 1, q_max), cap)
               for lo in range(q_min, q_max + 1, chunk)]
+    threads = min(threads, len(bounds))
     records = []
     if threads <= 1:
         for i, b in enumerate(bounds):

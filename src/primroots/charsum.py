@@ -16,10 +16,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import DomainError, check_natural, is_perfect_square, log_integral
-from .factorize import euler_phi, factor, is_prime, mobius
-from .primroot import is_primitive_root_prime, least_primitive_root, multiplicative_order
-from .special_primes import sieve_primes
+from .arith import DomainError, check_natural, log_integral
+from .artin import _check_base, reference_artin_constant
+from .factorize import (check_sieve_limit, distinct_prime_factors, euler_phi, factor, is_prime,
+                        mobius, primes_upto, totients)
+from .primroot import is_primitive_root_prime, least_primitive_root, primitive_root_mask
 
 ROUNDING_TOLERANCE = 1e-6
 
@@ -209,28 +210,24 @@ def decompose_interval(z: int, q: int) -> IntervalDecomposition:
     """Split the primitive-root prime count over [z, 2z] for base q.
 
     psi_sum counts primes p in [z, 2z], coprime to q, with q of maximal
-    order (decided by the order computation, not the character sums);
+    order (decided by the batched F_p test, not the character sums);
     trivial_term accumulates phi(p-1)/p in ascending p; error_term is
-    their exact difference. li_prediction = a1 (li(2z) - li(z)).
+    their exact difference. li_prediction = a1 (li(2z) - li(z)). Refuses
+    2z > SIEVE_LIMIT before sieving.
     """
     check_natural(z, "z")
-    check_natural(q, "q")
+    _check_base(q)
     if z < 3:
         raise DomainError(f"z must be >= 3, got {z}")
-    if q < 2:
-        raise DomainError(f"q = {q} is excluded (0 and +-1 are never primitive roots)")
-    if is_perfect_square(q):
-        raise DomainError(f"q = {q} is a perfect square, excluded")
-    from .artin import reference_artin_constant
-
-    psi_sum = 0
-    trivial = 0.0
-    for p in sieve_primes(2 * z):
-        if p < z or q % p == 0:
-            continue
-        if multiplicative_order(q, p).order == p - 1:
-            psi_sum += 1
-        trivial += euler_phi(factor(p - 1)) / p
+    check_sieve_limit(2 * z, "2z")
+    primes = primes_upto(2 * z)
+    primes = primes[np.searchsorted(primes, z):]
+    primes = primes[q % primes != 0]
+    rows = distinct_prime_factors(primes - 1)
+    psi_sum = int(np.count_nonzero(primitive_root_mask(q, primes, rows)))
+    # Sequential float64 sum in ascending p: np.sum would add pairwise.
+    shares = totients(primes - 1, rows) / primes
+    trivial = float(np.cumsum(shares)[-1]) if shares.size else 0.0
     li_pred = reference_artin_constant() * (log_integral(2 * z) - log_integral(z))
     return IntervalDecomposition(z=z, q=q, psi_sum=psi_sum,
                                  trivial_term=trivial,

@@ -4,7 +4,8 @@ Rows go to stdout as CSV (default) or JSON; progress and summaries go to
 stderr so stdout stays machine-clean. No numeric logic lives here.
 
 Exit codes: 0 success, 1 violated precondition (the diagnostic names it),
-2 usage error.
+2 usage error, 3 internal-invariant failure (one "internal error:" line on
+stderr, no traceback).
 """
 
 import argparse
@@ -300,6 +301,9 @@ def run(argv) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     emit(record, args.format)
     return 0
 

@@ -1,17 +1,29 @@
 """Prime factorization and the arithmetic functions built on it.
 
-Factoring is trial division against a cached prime table, then Pollard rho
+Factoring is trial division against a cached prime tuple, then Pollard rho
 with Brent cycling for whatever survives. Primality is deterministic
 Miller-Rabin (7-witness set, exact below 2^64), so nothing here is
-probabilistic. All functions are pure; the prime table is built once and
-never mutated.
+probabilistic.
+
+The package's one source of primes is a smallest-prime-factor (SPF) table,
+grown lazily (by doubling) up to SIEVE_LIMIT and never built at import.
+It lists the primes up to a limit and gives the distinct prime factors of
+every value it covers in O(log n) lookups. ``factor`` takes only its
+trial divisors from it and ``is_prime`` nothing, so both stay an
+independent reference for the table.
 """
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import NATURAL_MAX, DomainError, check_natural
+import numpy as np
+
+from .arith import DomainError, check_natural
+
+# Largest value the SPF table covers: 2 bytes per entry, 200 MB at the
+# ceiling. Every input that sizes the table is refused above it.
+SIEVE_LIMIT = 10**8
 
 # Witnesses proving n < 2^64 composite or prime with no exceptions
 # (Sinclair's 7-witness set).
@@ -20,21 +32,86 @@ _MR_WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 _TRIAL_LIMIT = 10**6
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-_trial_primes_cache = None
+# spf[n] is the least prime factor of a composite n < len(spf), and 0 for a
+# prime (and for 0 and 1). A composite n <= SIEVE_LIMIT has one at most
+# sqrt(SIEVE_LIMIT), so 2 bytes per entry suffice.
+assert math.isqrt(SIEVE_LIMIT) < 2**16
+_spf = np.zeros(2, dtype=np.uint16)
+_primes = np.zeros(0, dtype=np.int64)
 
 
-def _trial_primes():
-    """Primes up to _TRIAL_LIMIT, sieved once and reused."""
-    global _trial_primes_cache
-    if _trial_primes_cache is None:
-        n = _TRIAL_LIMIT
-        flags = bytearray([1]) * (n + 1)
-        flags[0] = flags[1] = 0
+def check_sieve_limit(limit: int, name: str = "limit") -> int:
+    """Refuse a table size past SIEVE_LIMIT before anything is allocated."""
+    if isinstance(limit, int) and limit > SIEVE_LIMIT:
+        raise DomainError(f"{name} = {limit} exceeds the sieve ceiling "
+                          f"SIEVE_LIMIT = {SIEVE_LIMIT}")
+    return check_natural(limit, name)
+
+
+def _spf_upto(limit):
+    """The SPF table, rebuilt to cover ``limit`` if it does not yet."""
+    global _spf, _primes
+    if limit >= len(_spf):
+        n = min(SIEVE_LIMIT, max(limit, 2 * (len(_spf) - 1)))
+        spf = np.zeros(n + 1, dtype=np.uint16)
         for p in range(2, math.isqrt(n) + 1):
-            if flags[p]:
-                flags[p * p :: p] = bytearray(len(range(p * p, n + 1, p)))
-        _trial_primes_cache = tuple(i for i in range(n + 1) if flags[i])
-    return _trial_primes_cache
+            if spf[p] == 0:
+                multiples = spf[p * p :: p]
+                multiples[multiples == 0] = p
+        _spf, _primes = spf, (np.flatnonzero(spf[2:] == 0) + 2).astype(np.int64)
+    return _spf
+
+
+def primes_upto(limit: int) -> np.ndarray:
+    """All primes <= limit, ascending, as an int64 array (a read-only view)."""
+    check_sieve_limit(limit)
+    _spf_upto(limit)
+    view = _primes[: np.searchsorted(_primes, limit, side="right")]
+    view.flags.writeable = False
+    return view
+
+
+@lru_cache(maxsize=4)
+def prime_tuple(limit: int) -> tuple:
+    """primes_upto(limit) as a tuple of Python ints, for scalar loops."""
+    return tuple(primes_upto(limit).tolist())
+
+
+def distinct_prime_factors(values: np.ndarray) -> np.ndarray:
+    """Distinct prime factors of each value, read from the SPF table.
+
+    Returns rows of shape (k, len(values)), k the largest omega among the
+    values: column j lists the primes of values[j] in ascending order and
+    is padded with 1. Every value must lie in [1, SIEVE_LIMIT].
+    """
+    m = np.array(values, dtype=np.int64)
+    if m.size and (m.min() < 1 or m.max() > SIEVE_LIMIT):
+        raise DomainError(f"values must lie in [1, {SIEVE_LIMIT}]")
+    spf = _spf_upto(int(m.max()) if m.size else 1)
+    rows = []
+    live = np.flatnonzero(m > 1)
+    while live.size:
+        ell = spf[m[live]].astype(np.int64)
+        ell = np.where(ell == 0, m[live], ell)  # a prime is its own least factor
+        row = np.ones_like(m)
+        row[live] = ell
+        rows.append(row)
+        # Strip every power of ell; the entries still divisible shrink fast.
+        hit = live
+        while hit.size:
+            m[hit] //= ell
+            keep = m[hit] % ell == 0
+            hit, ell = hit[keep], ell[keep]
+        live = live[m[live] > 1]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), m.size)
+
+
+def totients(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Euler phi of each value, exactly in int64, from its factor rows."""
+    phi = np.array(values, dtype=np.int64)
+    for ell in rows:
+        phi -= np.where(ell > 1, phi // ell, 0)
+    return phi
 
 
 @dataclass(frozen=True)
@@ -127,7 +204,7 @@ def factor(n: int) -> Factorization:
         raise DomainError("factor(0) is undefined")
     original = n
     found = {}
-    for p in _trial_primes():
+    for p in prime_tuple(_TRIAL_LIMIT):
         if p * p > n:
             break
         if n % p == 0:

@@ -5,14 +5,23 @@ lambda-primitive-root test in Z/nZ, and the lift from prime-power moduli
 to composites. "Primitive root mod composite n" always means an element
 of maximal order lambda(n): Z/nZ is not cyclic in general, and that is
 the only reading under which the lift is well-formed.
+
+``primitive_root_mask`` is the batched form of the F_p test for one base
+over an array of sieved primes; the scalar functions stay the reference it
+is tested against.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd as _gcd, isqrt
 
+import numpy as np
+
 from .arith import DomainError, check_natural
-from .factorize import carmichael_lambda, factor, is_prime
+from .factorize import SIEVE_LIMIT, carmichael_lambda, factor, is_prime
+
+# The batched test multiplies two residues mod p <= SIEVE_LIMIT in int64.
+assert SIEVE_LIMIT**2 < 2**63
 
 
 @dataclass(frozen=True)
@@ -81,6 +90,36 @@ def is_primitive_root_prime(u: int, p: int) -> bool:
         if pow(u, e, p) == 1:
             return False
     return True
+
+
+def primitive_root_mask(q: int, primes: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The F_p test for one base q over an array of primes.
+
+    ``rows`` holds the distinct primes of each p - 1 (as returned by
+    ``distinct_prime_factors(primes - 1)``). Entry j is True iff
+    q^((p-1)/l) != 1 mod p for every l | p-1, by square-and-multiply over
+    all (p, l) pairs at once; it is False where p divides q. The primes are
+    trusted: callers pass sieved primes, at most SIEVE_LIMIT.
+    """
+    check_natural(q, "q")
+    if primes.size and primes.max() > SIEVE_LIMIT:
+        raise DomainError(f"primes past SIEVE_LIMIT = {SIEVE_LIMIT} would overflow int64")
+    residues = q % primes
+    tested = rows > 1
+    mod = np.broadcast_to(primes, rows.shape)[tested]
+    exponent = (mod - 1) // rows[tested]
+    base = np.broadcast_to(residues, rows.shape)[tested]
+    power = np.ones_like(mod)
+    product = np.empty_like(mod)
+    while exponent.any():
+        np.multiply(power, base, out=product)
+        np.remainder(product, mod, out=power, where=(exponent & 1).astype(bool))
+        np.multiply(base, base, out=base)
+        np.remainder(base, mod, out=base)
+        exponent >>= 1
+    passed = np.ones(rows.shape, dtype=bool)
+    passed[tested] = power != 1
+    return passed.all(axis=0) & (residues != 0)
 
 
 def is_lambda_primitive_root(u: int, n: int) -> bool:

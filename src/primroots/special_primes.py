@@ -10,39 +10,18 @@ versus the generic test's omega(p-1) exponentiations.
 import math
 from dataclasses import dataclass
 
-from .arith import NATURAL_MAX, DomainError, check_natural, is_perfect_square, jacobi
-from .factorize import is_prime
+from .arith import NATURAL_MAX, DomainError, check_natural, jacobi
+from .factorize import is_prime, primes_upto
 
 FERMAT_PRIMES = (3, 5, 17, 257, 65537)
 
-_SEGMENT = 1 << 17
-
 
 def sieve_primes(limit: int) -> list:
-    """All primes <= limit in ascending order (segmented Eratosthenes)."""
-    check_natural(limit, "limit")
-    if limit < 2:
-        return []
-    root = math.isqrt(limit)
-    flags = bytearray([1]) * (root + 1)
-    flags[0:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(root) + 1):
-        if flags[p]:
-            flags[p * p :: p] = bytearray(len(range(p * p, root + 1, p)))
-    base = [i for i in range(root + 1) if flags[i]]
-    primes = list(base)
-    lo = root + 1
-    while lo <= limit:
-        hi = min(lo + _SEGMENT - 1, limit)
-        seg = bytearray([1]) * (hi - lo + 1)
-        for p in base:
-            start = max(p * p, (lo + p - 1) // p * p)
-            if start > hi:
-                break
-            seg[start - lo :: p] = bytearray(len(range(start, hi + 1, p)))
-        primes.extend(i for i in range(lo, hi + 1) if seg[i - lo])
-        lo = hi + 1
-    return primes
+    """All primes <= limit in ascending order, from the shared SPF table.
+
+    Refuses limit > SIEVE_LIMIT before allocating anything.
+    """
+    return primes_upto(limit).tolist()
 
 
 @dataclass(frozen=True)

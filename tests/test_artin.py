@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from primroots import DomainError
+from primroots import DomainError, artin
 from primroots.artin import (
     BOUND_MIN_Q,
     artin_constant,
@@ -165,3 +165,33 @@ def test_scan_summary():
     assert summary.max_ratio == max(r.ratio for r in records if r.ratio is not None)
     hits = sum(1 for r in records if r.germain_hit)
     assert math.isclose(summary.germain_fraction, hits / len(records))
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs serially."""
+
+    workers = []
+
+    def __init__(self, max_workers):
+        self.workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_scan_workers_clamped(monkeypatch):
+    monkeypatch.setattr(artin, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "workers", [])
+    monkeypatch.setattr(artin.os, "cpu_count", lambda: 3)
+    assert conjecture_scan(2, 400, threads=64) == conjecture_scan(2, 400)
+    monkeypatch.setattr(artin.os, "cpu_count", lambda: 64)
+    assert conjecture_scan(2, 5, threads=64) == conjecture_scan(2, 5)  # 4 chunks of 1 base
+    assert conjecture_scan(2, 5, threads=2) == conjecture_scan(2, 5)
+    assert _RecordingPool.workers == [3, 4, 2]
+

@@ -12,7 +12,7 @@ from primroots.charsum import (
     psi_divisor_dependent,
     psi_divisor_free,
 )
-from primroots.factorize import euler_phi, factor
+from primroots.factorize import SIEVE_LIMIT, euler_phi, factor
 from primroots.primroot import is_primitive_root_prime, multiplicative_order
 from primroots.special_primes import sieve_primes
 
@@ -132,3 +132,10 @@ def test_interval_domain_errors():
         decompose_interval(10, 1)
     with pytest.raises(DomainError):
         decompose_interval(10, 0)
+
+
+def test_interval_refuses_2z_past_sieve_ceiling():
+    with pytest.raises(DomainError, match=f"2z = {SIEVE_LIMIT + 2} exceeds"):
+        decompose_interval(SIEVE_LIMIT // 2 + 1, 2)
+    with pytest.raises(DomainError, match="SIEVE_LIMIT"):
+        decompose_interval(2**62, 3)

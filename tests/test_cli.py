@@ -4,9 +4,9 @@ import json
 
 import pytest
 
-from primroots import artin, charsum
+from primroots import artin, charsum, factorize, primroot
 from primroots.cli import COLUMNS, render, run
-from primroots.factorize import factor
+from primroots.factorize import SIEVE_LIMIT, factor
 from primroots.primroot import multiplicative_order
 from primroots.special_primes import enumerate_k_pow2_primes, sieve_primes
 
@@ -158,3 +158,47 @@ def test_least_prime_exhausted_row(capsys):
     assert run(["least-prime", "--q", "510", "--cap", "43"]) == 0
     _, rows = parse_csv(capsys.readouterr().out)
     assert rows[0]["least_p"] == "" and rows[0]["exhausted"] == "true"
+
+
+@pytest.mark.parametrize("argv", [
+    ["density", "--q", "2", "--x", str(SIEVE_LIMIT + 1)],
+    ["interval", "--z", str(SIEVE_LIMIT // 2 + 1), "--q", "2"],
+    ["germain", "--limit", str(SIEVE_LIMIT + 1)],
+    ["artin-constant", "--cutoff", str(SIEVE_LIMIT + 1)],
+    ["least-prime", "--q", "2", "--cap", str(SIEVE_LIMIT + 1)],
+    ["scan", "--qmin", "2", "--qmax", "3", "--cap", str(SIEVE_LIMIT + 1)],
+], ids=["density-x", "interval-z", "germain-limit", "artin-cutoff",
+        "least-prime-cap", "scan-cap"])
+def test_table_sizes_past_the_ceiling_are_refused(argv, capsys):
+    table_size = len(factorize._spf)
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"SIEVE_LIMIT = {SIEVE_LIMIT}" in captured.err
+    assert len(factorize._spf) == table_size  # refused before the table grew
+
+
+def test_scan_refuses_threads_below_one(capsys):
+    for threads in ("0", "-4"):
+        assert run(["scan", "--qmin", "2", "--qmax", "10", "--threads", threads]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "threads must be an integer >= 1" in captured.err
+
+
+def test_internal_invariant_failures_exit_3(monkeypatch, capsys):
+    # The lift's final re-check fails although every prime-power test passed.
+    monkeypatch.setattr(primroot, "is_lambda_primitive_root", lambda u, n: n != 15)
+    assert run(["lift", "--u", "2", "--n", "15"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: lift inconsistency")
+    assert captured.err.count("\n") == 1
+
+    # A character-sum accumulator lands outside the rounding tolerance.
+    monkeypatch.setattr(charsum, "ROUNDING_TOLERANCE", -1.0)
+    assert run(["psi", "--u", "2", "--p", "5", "--method", "divisor"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: accumulator")
+    assert captured.err.count("\n") == 1

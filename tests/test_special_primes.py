@@ -3,7 +3,7 @@ import math
 import pytest
 
 from primroots import DomainError
-from primroots.factorize import is_prime
+from primroots.factorize import SIEVE_LIMIT, is_prime
 from primroots.primroot import is_primitive_root_prime
 from primroots.special_primes import (
     FERMAT_PRIMES,
@@ -187,3 +187,10 @@ def test_classify_prime():
     assert classify_prime(2).tags == ("ordinary",)
     with pytest.raises(DomainError):
         classify_prime(10)
+
+
+def test_sieve_refuses_limit_past_ceiling():
+    with pytest.raises(DomainError, match=f"SIEVE_LIMIT = {SIEVE_LIMIT}"):
+        sieve_primes(SIEVE_LIMIT + 1)
+    with pytest.raises(DomainError):
+        sieve_primes(2**63)
