@@ -71,24 +71,17 @@ def _require_desk_scale_prime(p):
 
 
 @lru_cache(maxsize=64)
-def _dlog_table(p):
-    """(tau, index) with index[tau^m mod p] = m for 0 <= m < p-1."""
-    tau = least_primitive_root(p)
-    index = [0] * p
-    acc = 1
-    for m in range(p - 1):
-        index[acc] = m
-        acc = acc * tau % p
-    return tau, index
+def _dlog_table(p, tau=None):
+    """(tau, index) with index[tau^m mod p] = m for 0 <= m < p-1.
 
-
-def _dlog_for(p, tau):
-    """Table for an explicitly chosen primitive root (verification hook)."""
+    tau defaults to the least primitive root; an explicit tau (the
+    verification hook) is refused unless it is a primitive root mod p.
+    """
     if tau is None:
-        return _dlog_table(p)
-    tau %= p
-    if p > 2 and not is_primitive_root_prime(tau, p):
+        tau = least_primitive_root(p)
+    elif tau % p == 0 or not is_primitive_root_prime(tau % p, p):
         raise DomainError(f"tau = {tau} is not a primitive root mod {p}")
+    tau %= p
     index = [0] * p
     acc = 1
     for m in range(p - 1):
@@ -150,7 +143,7 @@ def psi_divisor_dependent(u: int, p: int, tau: int = None) -> PsiEvaluation:
     u %= p
     if u == 0:
         raise DomainError("u = 0 mod p has no discrete log")
-    _, index = _dlog_for(p, tau)
+    _, index = _dlog_table(p, tau)
     m = index[u]
     nums, dens, weights = _character_weights(p)
     phases = (m * nums) % dens
@@ -174,7 +167,7 @@ def psi_divisor_free(u: int, p: int, literal: bool = False,
     u %= p
     if u == 0:
         raise DomainError("u = 0 mod p is excluded")
-    tau_val, _ = _dlog_for(p, tau)
+    tau_val, _ = _dlog_table(p, tau)
     n_top = p - 1
 
     if not literal:

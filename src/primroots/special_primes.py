@@ -144,16 +144,11 @@ def classify_prime(p: int) -> PrimeClass:
     check_natural(p, "p")
     if not is_prime(p):
         raise DomainError(f"p = {p} is not prime")
-    tags = []
+    tags = ("ordinary",)
     if p >= 3:
-        m = p - 1
-        s = (m & -m).bit_length() - 1
-        r = m >> s
-        if r == 1:
-            tags.append("fermat")
-        elif is_prime(r):
-            tags.append(f"germain:s={s}")
-            tags.append(f"k2n:k={r}")
-    if not tags:
-        tags.append("ordinary")
-    return PrimeClass(p=p, tags=tuple(tags))
+        form = germain_decompose(p)
+        if form is not None:
+            tags = (f"germain:s={form.s}", f"k2n:k={form.r}")
+        elif (p - 1) & (p - 2) == 0:
+            tags = ("fermat",)
+    return PrimeClass(p=p, tags=tags)

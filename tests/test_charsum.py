@@ -83,6 +83,15 @@ def test_psi_rejects_non_primitive_tau():
         psi_divisor_dependent(2, 7, tau=2)  # ord_7(2) = 3
 
 
+def test_psi_rejects_non_unit_tau_at_p_2():
+    # tau = 2 = 0 mod 2 is not a unit; both forms must refuse it, not disagree.
+    with pytest.raises(DomainError, match="tau = 2"):
+        psi_divisor_dependent(1, 2, tau=2)
+    for literal in (False, True):
+        with pytest.raises(DomainError, match="tau = 2"):
+            psi_divisor_free(1, 2, literal=literal, tau=2)
+
+
 def test_literal_mode_is_capped():
     big = next(p for p in sieve_primes(LITERAL_LIMIT + 100) if p > LITERAL_LIMIT)
     with pytest.raises(DomainError):

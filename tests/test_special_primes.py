@@ -181,7 +181,10 @@ def test_k2n_entries_are_prime():
 
 
 def test_classify_prime():
-    assert classify_prime(17).tags == ("fermat",)
+    for fermat in (3, 5, 17, 65537):
+        assert classify_prime(fermat).tags == ("fermat",)
+    assert classify_prime(7).tags == ("germain:s=1", "k2n:k=3")
+    assert classify_prime(97).tags == ("germain:s=5", "k2n:k=3")   # 96 = 2^5 * 3
     assert classify_prime(13).tags == ("germain:s=2", "k2n:k=3")
     assert classify_prime(31).tags == ("ordinary",)   # 30 = 2 * 3 * 5
     assert classify_prime(2).tags == ("ordinary",)
