@@ -9,6 +9,7 @@ measured estimate of c(q).
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .arith import DomainError, check_natural, is_perfect_square
 from .factorize import check_sieve_limit, distinct_prime_factors, prime_tuple, primes_upto
-from .primroot import is_primitive_root_prime, primitive_root_mask
+from .primroot import _passes, _prime_test_exponents, primitive_root_mask
 from .special_primes import germain_decompose
 
 DEFAULT_SCAN_CAP = 10**5
@@ -137,10 +138,13 @@ def least_prime_with_primitive_root(q: int, cap: int = DEFAULT_SCAN_CAP):
     check_sieve_limit(cap, "cap")
     if cap < 3:
         raise DomainError(f"cap must be >= 3, got {cap}")
+    return _least_prime(q, cap)
+
+
+def _least_prime(q, cap):
+    """least_prime_with_primitive_root for an admissible q and cap >= 3."""
     for p in prime_tuple(cap):
-        if p < 3 or q % p == 0:
-            continue
-        if is_primitive_root_prime(q, p):
+        if p >= 3 and q % p and _passes(q, p, _prime_test_exponents(p)):
             return p
     return None
 
@@ -153,7 +157,7 @@ def conjecture_bound(q: int) -> float:
 
 
 def _scan_record(q, cap):
-    least = least_prime_with_primitive_root(q, cap)
+    least = _least_prime(q, cap)
     bound = conjecture_bound(q) if q >= BOUND_MIN_Q else None
     ratio = least / bound if least is not None and bound is not None else None
     hit = least is not None and germain_decompose(least) is not None
@@ -184,6 +188,8 @@ def conjecture_scan(q_min: int, q_max: int, cap: int = DEFAULT_SCAN_CAP,
     check_sieve_limit(cap, "cap")
     if not isinstance(threads, int) or threads < 1:
         raise DomainError(f"threads must be an integer >= 1, got {threads}")
+    if cap < 3:
+        raise DomainError(f"cap must be >= 3, got {cap}")
     threads = min(threads, os.cpu_count() or 1)
     span = q_max - q_min + 1
     chunk = max(1, min(2048, span // max(1, 4 * threads) + 1))
@@ -191,17 +197,12 @@ def conjecture_scan(q_min: int, q_max: int, cap: int = DEFAULT_SCAN_CAP,
               for lo in range(q_min, q_max + 1, chunk)]
     threads = min(threads, len(bounds))
     records = []
-    if threads <= 1:
-        for i, b in enumerate(bounds):
-            records.extend(_scan_chunk(b))
+    with ProcessPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+        parts = pool.map(_scan_chunk, bounds) if pool else map(_scan_chunk, bounds)
+        for i, part in enumerate(parts):
+            records.extend(part)
             if progress:
                 progress(min((i + 1) * chunk, span), span)
-    else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for i, part in enumerate(pool.map(_scan_chunk, bounds)):
-                records.extend(part)
-                if progress:
-                    progress(min((i + 1) * chunk, span), span)
     return records
 
 

@@ -18,9 +18,10 @@ import numpy as np
 
 from .arith import DomainError, check_natural, log_integral
 from .artin import _check_base, reference_artin_constant
-from .factorize import (check_sieve_limit, distinct_prime_factors, euler_phi, factor, is_prime,
-                        mobius, primes_upto, totients)
-from .primroot import is_primitive_root_prime, least_primitive_root, primitive_root_mask
+from .factorize import (check_sieve_limit, distinct_prime_factors, euler_phi, factor, mobius,
+                        primes_upto, totients)
+from .primroot import (_passes, _prime_test_exponents, _require_prime, least_primitive_root,
+                       primitive_root_mask)
 
 ROUNDING_TOLERANCE = 1e-6
 
@@ -64,22 +65,22 @@ class IntervalDecomposition:
 
 
 def _require_desk_scale_prime(p):
-    if not is_prime(p):
-        raise DomainError(f"p = {p} is not prime")
+    _require_prime(p)
     if p > TABLE_LIMIT:
         raise DomainError(f"p = {p} exceeds the desk-scale table limit {TABLE_LIMIT}")
 
 
 @lru_cache(maxsize=64)
 def _dlog_table(p, tau=None):
-    """(tau, index) with index[tau^m mod p] = m for 0 <= m < p-1.
+    """(tau, index) with index[tau^m mod p] = m for 0 <= m < p-1, p a checked prime.
 
     tau defaults to the least primitive root; an explicit tau (the
     verification hook) is refused unless it is a primitive root mod p.
     """
     if tau is None:
         tau = least_primitive_root(p)
-    elif tau % p == 0 or not is_primitive_root_prime(tau % p, p):
+    elif tau % p == 0 or not _passes(check_natural(tau % p, "tau"), p,
+                                     _prime_test_exponents(p)):
         raise DomainError(f"tau = {tau} is not a primitive root mod {p}")
     tau %= p
     index = [0] * p

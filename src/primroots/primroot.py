@@ -41,6 +41,26 @@ def _require_prime(p, name="p"):
         raise DomainError(f"{name} = {p} is not prime")
 
 
+def _unit(u, n):
+    """u mod n, refused unless n >= 2 and u is a unit mod n."""
+    check_natural(u, "u")
+    check_natural(n, "n")
+    if n < 2:
+        raise DomainError(f"modulus must be >= 2, got {n}")
+    u %= n
+    if _gcd(u, n) != 1:
+        raise DomainError(f"u = {u} is not a unit mod {n}")
+    return u
+
+
+def _passes(u, n, exponents):
+    """True iff u^e != 1 mod n for every e. The inputs are not checked."""
+    for e in exponents:
+        if pow(u, e, n) == 1:
+            return False
+    return True
+
+
 @lru_cache(maxsize=65536)
 def _prime_test_exponents(p):
     """Exponents (p-1)/l for each prime l | p-1, largest quotient first."""
@@ -50,7 +70,7 @@ def _prime_test_exponents(p):
 @lru_cache(maxsize=65536)
 def _lambda_test_exponents(n):
     lam = carmichael_lambda(factor(n))
-    return lam, tuple(lam // ell for ell, _ in factor(lam).factors)
+    return tuple(lam // ell for ell, _ in factor(lam).factors)
 
 
 def multiplicative_order(u: int, n: int) -> OrderResult:
@@ -59,13 +79,7 @@ def multiplicative_order(u: int, n: int) -> OrderResult:
     Starts from the group exponent and divides out each prime factor while
     the power still lands on 1; never enumerates all divisors.
     """
-    check_natural(u, "u")
-    check_natural(n, "n")
-    if n < 2:
-        raise DomainError(f"modulus must be >= 2, got {n}")
-    u %= n
-    if _gcd(u, n) != 1:
-        raise DomainError(f"u = {u} is not a unit mod {n}")
+    u = _unit(u, n)
     lam = carmichael_lambda(factor(n))
     order = lam
     for ell, _ in factor(lam).factors:
@@ -86,10 +100,7 @@ def is_primitive_root_prime(u: int, p: int) -> bool:
     u %= p
     if u == 0:
         raise DomainError(f"u is not coprime to p = {p}")
-    for e in _prime_test_exponents(p):
-        if pow(u, e, p) == 1:
-            return False
-    return True
+    return _passes(u, p, _prime_test_exponents(p))
 
 
 def primitive_root_mask(q: int, primes: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -124,18 +135,7 @@ def primitive_root_mask(q: int, primes: np.ndarray, rows: np.ndarray) -> np.ndar
 
 def is_lambda_primitive_root(u: int, n: int) -> bool:
     """True iff u has the maximal order lambda(n) in (Z/nZ)*."""
-    check_natural(u, "u")
-    check_natural(n, "n")
-    if n < 2:
-        raise DomainError(f"modulus must be >= 2, got {n}")
-    u %= n
-    if _gcd(u, n) != 1:
-        raise DomainError(f"u = {u} is not a unit mod {n}")
-    _, exponents = _lambda_test_exponents(n)
-    for e in exponents:
-        if pow(u, e, n) == 1:
-            return False
-    return True
+    return _passes(_unit(u, n), n, _lambda_test_exponents(n))
 
 
 def lift_primitive_root(u: int, f) -> bool:
@@ -178,8 +178,9 @@ def least_primitive_root(p: int) -> int:
     _require_prime(p)
     if p == 2:
         return 1
+    exponents = _prime_test_exponents(p)
     tau = 2
-    while not is_primitive_root_prime(tau, p):
+    while not _passes(tau, p, exponents):
         tau += 1
     return tau
 
@@ -193,11 +194,4 @@ def count_primitive_roots(p: int) -> int:
     """
     _require_prime(p)
     exponents = _prime_test_exponents(p)
-    count = 0
-    for u in range(1, p):
-        for e in exponents:
-            if pow(u, e, p) == 1:
-                break
-        else:
-            count += 1
-    return count
+    return sum(_passes(u, p, exponents) for u in range(1, p))

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from primroots import artin, charsum, factorize, primroot
+from primroots import DomainError, artin, charsum, factorize, primroot
 from primroots.cli import COLUMNS, render, run
 from primroots.factorize import SIEVE_LIMIT, factor
 from primroots.primroot import multiplicative_order
@@ -184,6 +184,22 @@ def test_scan_refuses_threads_below_one(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "threads must be an integer >= 1" in captured.err
+
+
+def test_scan_checks_cap_before_any_base_or_fork(monkeypatch, capsys):
+    # [4, 4] holds no admissible base; the cap is refused all the same.
+    assert run(["scan", "--qmin", "4", "--qmax", "4", "--cap", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cap must be >= 3, got 2\n"
+
+    def no_fork(max_workers):
+        raise AssertionError("worker pool started before the cap was checked")
+
+    monkeypatch.setattr(artin, "ProcessPoolExecutor", no_fork)
+    monkeypatch.setattr(artin.os, "cpu_count", lambda: 2)
+    with pytest.raises(DomainError, match="cap must be >= 3, got 2"):
+        artin.conjecture_scan(2, 400, cap=2, threads=2)
 
 
 def test_internal_invariant_failures_exit_3(monkeypatch, capsys):

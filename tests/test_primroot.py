@@ -3,6 +3,8 @@ import math
 import pytest
 
 from primroots import DomainError, jacobi
+from primroots.artin import least_prime_with_primitive_root
+from primroots.charsum import psi_divisor_dependent, psi_divisor_free
 from primroots.factorize import carmichael_lambda, euler_phi, factor
 from primroots.primroot import (
     count_primitive_roots,
@@ -179,3 +181,69 @@ def test_primitive_roots_are_nonresidues():
         for u in range(1, p):
             if is_primitive_root_prime(u, p):
                 assert jacobi(u, p) == -1
+
+
+# Every refusal of the scalar layer, with its exact message. Inputs are
+# checked once by the public function; this table pins what each says.
+_TABLE_TOO_BIG = "p = 16777259 exceeds the desk-scale table limit 16777216"
+REFUSALS = [
+    pytest.param(is_primitive_root_prime, (2, 10), "p = 10 is not prime", id="test-composite"),
+    pytest.param(is_primitive_root_prime, (2, -7), "p must be nonnegative, got -7",
+                 id="test-negative"),
+    pytest.param(is_primitive_root_prime, (10, 5), "u is not coprime to p = 5", id="test-u0"),
+    pytest.param(least_primitive_root, (8,), "p = 8 is not prime", id="least-composite"),
+    pytest.param(least_primitive_root, (-7,), "p must be nonnegative, got -7",
+                 id="least-negative"),
+    pytest.param(count_primitive_roots, (9,), "p = 9 is not prime", id="count-composite"),
+    pytest.param(count_primitive_roots, (-7,), "p must be nonnegative, got -7",
+                 id="count-negative"),
+    pytest.param(multiplicative_order, (14, 7), "u = 0 is not a unit mod 7", id="order-u0"),
+    pytest.param(multiplicative_order, (3, 9), "u = 3 is not a unit mod 9", id="order-non-unit"),
+    pytest.param(multiplicative_order, (2, 1), "modulus must be >= 2, got 1", id="order-n1"),
+    pytest.param(is_lambda_primitive_root, (14, 7), "u = 0 is not a unit mod 7",
+                 id="lambda-u0"),
+    pytest.param(is_lambda_primitive_root, (3, 9), "u = 3 is not a unit mod 9",
+                 id="lambda-non-unit"),
+    pytest.param(is_lambda_primitive_root, (2, 1), "modulus must be >= 2, got 1",
+                 id="lambda-n1"),
+    pytest.param(lift_primitive_root, (30, factor(15)), "u = 30 is not a unit mod 15",
+                 id="lift-u0"),
+    pytest.param(lift_primitive_root, (3, factor(15)), "u = 3 is not a unit mod 15",
+                 id="lift-non-unit"),
+    pytest.param(lift_primitive_root, (2, factor(1)), "modulus must be >= 2, got 1",
+                 id="lift-n1"),
+    pytest.param(least_prime_with_primitive_root, (0,),
+                 "q = 0 is excluded (0 and +-1 are never primitive roots)", id="least-prime-q0"),
+    pytest.param(least_prime_with_primitive_root, (1,),
+                 "q = 1 is excluded (0 and +-1 are never primitive roots)", id="least-prime-q1"),
+    pytest.param(least_prime_with_primitive_root, (9,), "q = 9 is a perfect square, excluded",
+                 id="least-prime-q9"),
+    pytest.param(least_prime_with_primitive_root, (2, 2), "cap must be >= 3, got 2",
+                 id="least-prime-cap2"),
+    pytest.param(psi_divisor_dependent, (2, 15), "p = 15 is not prime", id="psi-dep-composite"),
+    pytest.param(psi_divisor_dependent, (2, 16777259), _TABLE_TOO_BIG, id="psi-dep-too-big"),
+    pytest.param(psi_divisor_dependent, (22, 11), "u = 0 mod p has no discrete log",
+                 id="psi-dep-u0"),
+    pytest.param(psi_divisor_dependent, (2, 11, 3), "tau = 3 is not a primitive root mod 11",
+                 id="psi-dep-tau"),
+    pytest.param(psi_divisor_dependent, (2, 11, 22), "tau = 22 is not a primitive root mod 11",
+                 id="psi-dep-tau0"),
+    pytest.param(psi_divisor_dependent, (2, -7), "p must be nonnegative, got -7",
+                 id="psi-dep-negative"),
+    pytest.param(psi_divisor_dependent, (2, 11, 3.0), "tau must be an integer, got float",
+                 id="psi-dep-float-tau"),
+    pytest.param(psi_divisor_free, (2, 15), "p = 15 is not prime", id="psi-free-composite"),
+    pytest.param(psi_divisor_free, (2, 16777259), _TABLE_TOO_BIG, id="psi-free-too-big"),
+    pytest.param(psi_divisor_free, (22, 11), "u = 0 mod p is excluded", id="psi-free-u0"),
+    pytest.param(psi_divisor_free, (2, 11, False, 3), "tau = 3 is not a primitive root mod 11",
+                 id="psi-free-tau"),
+    pytest.param(psi_divisor_free, (2, -7), "p must be nonnegative, got -7",
+                 id="psi-free-negative"),
+]
+
+
+@pytest.mark.parametrize("fn, args, message", REFUSALS)
+def test_refusal_messages(fn, args, message):
+    with pytest.raises(DomainError) as excinfo:
+        fn(*args)
+    assert str(excinfo.value) == message
