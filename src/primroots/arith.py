@@ -9,6 +9,8 @@ import math
 
 NATURAL_MAX = 2**63 - 1
 
+LOG_INTEGRAL_TOL = 1e-9
+
 
 class DomainError(ValueError):
     """A precondition on an input was violated."""
@@ -92,13 +94,13 @@ def _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, depth):
         _adaptive_simpson(f, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1)
 
 
-def log_integral(x: float, tol: float = 1e-9) -> float:
+def log_integral(x: float) -> float:
     """Offset logarithmic integral: integral of dt/ln(t) from 2 to x.
 
     The lower limit 2 sidesteps the singularity at t = 1; the offset only
     shifts values by the constant li(2) ~ 1.045, which cancels in every
     difference the interval analysis uses. Adaptive Simpson quadrature,
-    absolute error <= tol.
+    absolute error <= 1e-9 (LOG_INTEGRAL_TOL).
     """
     x = float(x)
     if math.isnan(x) or x < 2.0:
@@ -113,4 +115,4 @@ def log_integral(x: float, tol: float = 1e-9) -> float:
     fb = f(x)
     fm = f(0.5 * (2.0 + x))
     whole = _simpson(2.0, x, fa, fm, fb)
-    return _adaptive_simpson(f, 2.0, x, fa, fm, fb, whole, tol, 60)
+    return _adaptive_simpson(f, 2.0, x, fa, fm, fb, whole, LOG_INTEGRAL_TOL, 60)

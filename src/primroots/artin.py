@@ -11,13 +11,12 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .arith import DomainError, check_natural, is_perfect_square
 from .factorize import check_sieve_limit, distinct_prime_factors, prime_tuple, primes_upto
-from .primroot import _passes, _prime_test_exponents, primitive_root_mask
+from .primroot import _passes, _test_exponents, primitive_root_mask
 from .special_primes import germain_decompose
 
 DEFAULT_SCAN_CAP = 10**5
@@ -79,21 +78,20 @@ class ScanSummary:
     germain_fraction: float
 
 
-@lru_cache(maxsize=8)
-def artin_constant(prime_cutoff: int) -> ArtinConstant:
+def artin_constant(cutoff: int) -> ArtinConstant:
     """Partial Euler product prod_{p <= cutoff} (1 - 1/(p(p-1))).
 
     tail_bound = 1/cutoff dominates the omitted log-product mass since
     sum_{n > N} 1/(n(n-1)) telescopes to 1/N.
     """
-    check_sieve_limit(prime_cutoff, "prime_cutoff")
-    if prime_cutoff < 2:
-        raise DomainError(f"prime_cutoff must be >= 2, got {prime_cutoff}")
-    primes = primes_upto(prime_cutoff)
+    check_sieve_limit(cutoff, "cutoff")
+    if cutoff < 2:
+        raise DomainError(f"cutoff must be >= 2, got {cutoff}")
+    primes = primes_upto(cutoff)
     # Sequential float64 product in ascending p, as a plain loop would take it.
     value = float(np.cumprod(1.0 - 1.0 / (primes * (primes - 1)))[-1])
-    return ArtinConstant(truncation=prime_cutoff, value=value,
-                         tail_bound=1.0 / prime_cutoff)
+    return ArtinConstant(truncation=cutoff, value=value,
+                         tail_bound=1.0 / cutoff)
 
 
 def reference_artin_constant() -> float:
@@ -144,7 +142,7 @@ def least_prime_with_primitive_root(q: int, cap: int = DEFAULT_SCAN_CAP):
 def _least_prime(q, cap):
     """least_prime_with_primitive_root for an admissible q and cap >= 3."""
     for p in prime_tuple(cap):
-        if p >= 3 and q % p and _passes(q, p, _prime_test_exponents(p)):
+        if p >= 3 and q % p and _passes(q, p, _test_exponents(p - 1)):
             return p
     return None
 
@@ -171,9 +169,9 @@ def _scan_chunk(args):
             if q >= 2 and not is_perfect_square(q)]
 
 
-def conjecture_scan(q_min: int, q_max: int, cap: int = DEFAULT_SCAN_CAP,
+def conjecture_scan(qmin: int, qmax: int, cap: int = DEFAULT_SCAN_CAP,
                     threads: int = 1, progress=None) -> list:
-    """One ScanRecord per admissible q in [q_min, q_max], ascending.
+    """One ScanRecord per admissible q in [qmin, qmax], ascending.
 
     Squares and q < 2 are skipped automatically. With threads > 1 the
     q-range is partitioned into contiguous chunks across worker processes,
@@ -181,20 +179,20 @@ def conjecture_scan(q_min: int, q_max: int, cap: int = DEFAULT_SCAN_CAP,
     in order, so output is deterministic either way. progress, if given, is
     called as progress(done, total) after each chunk.
     """
-    check_natural(q_min, "q_min")
-    check_natural(q_max, "q_max")
-    if q_min > q_max:
-        raise DomainError(f"empty scan range [{q_min}, {q_max}]")
+    check_natural(qmin, "qmin")
+    check_natural(qmax, "qmax")
+    if qmin > qmax:
+        raise DomainError(f"empty scan range [{qmin}, {qmax}]")
     check_sieve_limit(cap, "cap")
     if not isinstance(threads, int) or threads < 1:
         raise DomainError(f"threads must be an integer >= 1, got {threads}")
     if cap < 3:
         raise DomainError(f"cap must be >= 3, got {cap}")
     threads = min(threads, os.cpu_count() or 1)
-    span = q_max - q_min + 1
+    span = qmax - qmin + 1
     chunk = max(1, min(2048, span // max(1, 4 * threads) + 1))
-    bounds = [(lo, min(lo + chunk - 1, q_max), cap)
-              for lo in range(q_min, q_max + 1, chunk)]
+    bounds = [(lo, min(lo + chunk - 1, qmax), cap)
+              for lo in range(qmin, qmax + 1, chunk)]
     threads = min(threads, len(bounds))
     records = []
     with ProcessPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:

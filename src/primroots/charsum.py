@@ -6,11 +6,10 @@ divisors of p - 1; the divisor-free form is a double exponential sum over
 additive characters. Both land on the same {0, 1} indicator, and both are
 evaluated with a genuine complex accumulator whose distance to the rounded
 answer is retained for tolerance auditing. Characters are realized through
-a discrete-log table in base tau (the least primitive root), the only
+a power table in base tau (the least primitive root), the only
 structure-compatible choice at desk scale.
 """
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -20,15 +19,18 @@ from .arith import DomainError, check_natural, log_integral
 from .artin import _check_base, reference_artin_constant
 from .factorize import (check_sieve_limit, distinct_prime_factors, euler_phi, factor, mobius,
                         primes_upto, totients)
-from .primroot import (_passes, _prime_test_exponents, _require_prime, least_primitive_root,
+from .primroot import (_passes, _require_prime, _test_exponents, least_primitive_root,
                        primitive_root_mask)
 
 ROUNDING_TOLERANCE = 1e-6
 
-# Discrete-log tables and literal complex mode are O(p) / O(p^2) per value;
+# Power tables and literal complex mode are O(p) / O(p^2) per value;
 # past these bounds the machinery is no longer desk-scale.
 TABLE_LIMIT = 1 << 24
 LITERAL_LIMIT = 5000
+
+# The power table multiplies two residues mod p <= TABLE_LIMIT in int64.
+assert TABLE_LIMIT**2 < 2**63
 
 
 @dataclass(frozen=True)
@@ -70,28 +72,27 @@ def _require_desk_scale_prime(p):
         raise DomainError(f"p = {p} exceeds the desk-scale table limit {TABLE_LIMIT}")
 
 
-@lru_cache(maxsize=64)
-def _dlog_table(p, tau=None):
-    """(tau, index) with index[tau^m mod p] = m for 0 <= m < p-1, p a checked prime.
+@lru_cache(maxsize=1)
+def _power_table(p, tau=None):
+    """(tau, powers) with powers[m] = tau^m mod p for 0 <= m < p-1, p a checked prime.
 
     tau defaults to the least primitive root; an explicit tau (the
     verification hook) is refused unless it is a primitive root mod p.
+    The int64 table is built by doubling: each step appends the table so far
+    times tau^len.
     """
     if tau is None:
         tau = least_primitive_root(p)
-    elif tau % p == 0 or not _passes(check_natural(tau % p, "tau"), p,
-                                     _prime_test_exponents(p)):
+    elif tau % p == 0 or not _passes(check_natural(tau % p, "tau"), p, _test_exponents(p - 1)):
         raise DomainError(f"tau = {tau} is not a primitive root mod {p}")
     tau %= p
-    index = [0] * p
-    acc = 1
-    for m in range(p - 1):
-        index[acc] = m
-        acc = acc * tau % p
-    return tau, index
+    powers = np.ones(1, dtype=np.int64)
+    while len(powers) < p - 1:
+        powers = np.concatenate((powers, powers * pow(tau, len(powers), p) % p))
+    return tau, powers[: p - 1]
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def _character_weights(p):
     """Flattened character data for the divisor-dependent sum.
 
@@ -105,18 +106,16 @@ def _character_weights(p):
     for prime, e in factor(n).factors:
         divisors = [d * prime**k for d in divisors for k in range(e + 1)]
     divisors.sort()
-    nums, dens, weights = [], [], []
+    nums, weights = [], []
     for d in divisors:
+        t = np.arange(1, d + 1, dtype=np.int64)
+        nums.append(t[np.gcd(t, d) == 1])
         fd = factor(d)
-        w = mobius(fd) / euler_phi(fd)
-        for t in range(1, d + 1):
-            if math.gcd(t, d) == 1:
-                nums.append(t)
-                dens.append(d)
-                weights.append(w)
-    return (np.array(nums, dtype=np.int64),
-            np.array(dens, dtype=np.int64),
-            np.array(weights, dtype=np.float64))
+        weights.append(mobius(fd) / euler_phi(fd))
+    counts = [len(t) for t in nums]
+    return (np.concatenate(nums),
+            np.repeat(np.array(divisors, dtype=np.int64), counts),
+            np.repeat(np.array(weights, dtype=np.float64), counts))
 
 
 def _finish(p, u, method, raw):
@@ -144,8 +143,8 @@ def psi_divisor_dependent(u: int, p: int, tau: int = None) -> PsiEvaluation:
     u %= p
     if u == 0:
         raise DomainError("u = 0 mod p has no discrete log")
-    _, index = _dlog_table(p, tau)
-    m = index[u]
+    _, powers = _power_table(p, tau)
+    m = int(np.argmax(powers == u))  # the discrete log: tau^m = u
     nums, dens, weights = _character_weights(p)
     phases = (m * nums) % dens
     terms = weights * np.exp((2j * np.pi) * (phases / dens))
@@ -168,32 +167,21 @@ def psi_divisor_free(u: int, p: int, literal: bool = False,
     u %= p
     if u == 0:
         raise DomainError("u = 0 mod p is excluded")
-    tau_val, _ = _dlog_table(p, tau)
-    n_top = p - 1
-
+    _, powers = _power_table(p, tau)
+    if literal and p > LITERAL_LIMIT:
+        raise DomainError(f"literal mode is capped at p <= {LITERAL_LIMIT}")
+    # tau^n for each n in [1, p-1] coprime to p-1, in ascending n.
+    coprime_powers = np.roll(powers, -1)[np.gcd(np.arange(1, p), p - 1) == 1]
     if not literal:
-        hits = 0
-        power = 1
-        for n in range(1, n_top + 1):
-            power = power * tau_val % p
-            if power == u and math.gcd(n, n_top) == 1:
-                hits += 1
+        hits = int(np.count_nonzero(coprime_powers == u))
         return _finish(p, u, "divisor-free", complex(hits))
 
-    if p > LITERAL_LIMIT:
-        raise DomainError(f"literal mode is capped at p <= {LITERAL_LIMIT}")
-    diffs = []
-    power = 1
-    for n in range(1, n_top + 1):
-        power = power * tau_val % p
-        if math.gcd(n, n_top) == 1:
-            diffs.append((power - u) % p)
+    diffs = (coprime_powers - u) % p
     ks = np.arange(p, dtype=np.int64)
     total = 0.0 + 0.0j
     # Chunk the (n, k) phase matrix to bound memory; phases are reduced
     # mod p in exact integers first.
     chunk = max(1, (1 << 22) // p)
-    diffs = np.array(diffs, dtype=np.int64)
     for i in range(0, len(diffs), chunk):
         block = np.outer(diffs[i : i + chunk], ks) % p
         total += np.exp((2j * np.pi / p) * block).sum()

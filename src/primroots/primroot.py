@@ -62,14 +62,11 @@ def _passes(u, n, exponents):
 
 
 @lru_cache(maxsize=65536)
-def _prime_test_exponents(p):
-    """Exponents (p-1)/l for each prime l | p-1, largest quotient first."""
-    return tuple((p - 1) // ell for ell, _ in factor(p - 1).factors)
+def _test_exponents(lam):
+    """Exponents lam/l for each prime l | lam, largest quotient first.
 
-
-@lru_cache(maxsize=65536)
-def _lambda_test_exponents(n):
-    lam = carmichael_lambda(factor(n))
+    lam is the group exponent: p - 1 for a prime p, lambda(n) in general.
+    """
     return tuple(lam // ell for ell, _ in factor(lam).factors)
 
 
@@ -100,7 +97,7 @@ def is_primitive_root_prime(u: int, p: int) -> bool:
     u %= p
     if u == 0:
         raise DomainError(f"u is not coprime to p = {p}")
-    return _passes(u, p, _prime_test_exponents(p))
+    return _passes(u, p, _test_exponents(p - 1))
 
 
 def primitive_root_mask(q: int, primes: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -135,7 +132,7 @@ def primitive_root_mask(q: int, primes: np.ndarray, rows: np.ndarray) -> np.ndar
 
 def is_lambda_primitive_root(u: int, n: int) -> bool:
     """True iff u has the maximal order lambda(n) in (Z/nZ)*."""
-    return _passes(_unit(u, n), n, _lambda_test_exponents(n))
+    return _passes(_unit(u, n), n, _test_exponents(carmichael_lambda(factor(n))))
 
 
 def lift_primitive_root(u: int, f) -> bool:
@@ -178,7 +175,7 @@ def least_primitive_root(p: int) -> int:
     _require_prime(p)
     if p == 2:
         return 1
-    exponents = _prime_test_exponents(p)
+    exponents = _test_exponents(p - 1)
     tau = 2
     while not _passes(tau, p, exponents):
         tau += 1
@@ -193,5 +190,5 @@ def count_primitive_roots(p: int) -> int:
     independent.
     """
     _require_prime(p)
-    exponents = _prime_test_exponents(p)
+    exponents = _test_exponents(p - 1)
     return sum(_passes(u, p, exponents) for u in range(1, p))

@@ -106,22 +106,22 @@ class KPow2Enumeration:
     truncated_at: int
 
 
-def enumerate_k_pow2_primes(k: int, n_max: int) -> KPow2Enumeration:
-    """All n <= n_max with k * 2^n + 1 prime and below the ceiling."""
+def enumerate_k_pow2_primes(k: int, nmax: int) -> KPow2Enumeration:
+    """All n <= nmax with k * 2^n + 1 prime and below the ceiling."""
     check_natural(k, "k")
-    check_natural(n_max, "n_max")
+    check_natural(nmax, "nmax")
     if k % 2 == 0 or not is_prime(k):
         raise DomainError(f"k = {k} must be an odd prime")
     entries = []
     truncated_at = None
-    for n in range(n_max + 1):
+    for n in range(nmax + 1):
         candidate = (k << n) + 1
         if candidate > NATURAL_MAX:
             truncated_at = n
             break
         if is_prime(candidate):
             entries.append((n, candidate))
-    return KPow2Enumeration(k=k, n_max=n_max, entries=tuple(entries),
+    return KPow2Enumeration(k=k, n_max=nmax, entries=tuple(entries),
                             truncated_at=truncated_at)
 
 

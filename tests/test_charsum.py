@@ -1,8 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
-from primroots import DomainError
+from primroots import DomainError, charsum
 from primroots.arith import log_integral
 from primroots.artin import reference_artin_constant
 from primroots.charsum import (
@@ -90,6 +91,18 @@ def test_psi_rejects_non_unit_tau_at_p_2():
     for literal in (False, True):
         with pytest.raises(DomainError, match="tau = 2"):
             psi_divisor_free(1, 2, literal=literal, tau=2)
+
+
+def test_psi_caches_hold_one_prime_as_int64_arrays():
+    for p in (101, 103):
+        psi_divisor_dependent(2, p)
+        psi_divisor_free(2, p)
+    for cache in (charsum._power_table, charsum._character_weights):
+        info = cache.cache_info()
+        assert info.maxsize == info.currsize == 1
+    _, powers = charsum._power_table(103, None)
+    assert isinstance(powers, np.ndarray) and powers.dtype == np.int64
+    assert powers.nbytes == 8 * (103 - 1)
 
 
 def test_literal_mode_is_capped():

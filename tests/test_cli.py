@@ -178,6 +178,18 @@ def test_table_sizes_past_the_ceiling_are_refused(argv, capsys):
     assert len(factorize._spf) == table_size  # refused before the table grew
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["artin-constant", "--cutoff", "1"], "cutoff must be >= 2, got 1"),
+    (["k2n", "--k", "3", "--nmax", "-1"], "nmax must be nonnegative, got -1"),
+    (["scan", "--qmin", "-5", "--qmax", "10"], "qmin must be nonnegative, got -5"),
+], ids=["artin-cutoff", "k2n-nmax", "scan-qmin"])
+def test_refusals_name_the_flag(argv, message, capsys):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_scan_refuses_threads_below_one(capsys):
     for threads in ("0", "-4"):
         assert run(["scan", "--qmin", "2", "--qmax", "10", "--threads", threads]) == 1

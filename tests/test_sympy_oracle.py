@@ -7,8 +7,10 @@ values. The factor cases past 10^12 are the ones where Pollard rho runs.
 import math
 import random
 
+import numpy as np
 import pytest
 
+from primroots import charsum
 from primroots.arith import NATURAL_MAX, jacobi
 from primroots.factorize import carmichael_lambda, euler_phi, factor, is_prime, mobius
 from primroots.primroot import is_primitive_root_prime, multiplicative_order
@@ -83,3 +85,18 @@ def test_jacobi_matches_jacobi_symbol():
         n = 2 * rng.randrange(0, 10**12) + 1
         a = rng.randrange(-10**9, 10**9)
         assert jacobi(a, n) == sympy.jacobi_symbol(a, n), (a, n)
+
+
+def test_power_table_and_both_psi_forms_match_is_primitive_root():
+    # p - 1 = 2^5 * 3^3 * 5 * 7 * 11 at 332641: many divisors, many characters.
+    rng = random.Random(18)
+    for p in (2, 3, 55441, 332641, 1000003):
+        tau, powers = charsum._power_table(p, None)
+        assert sympy.is_primitive_root(tau, p), p
+        assert powers.dtype == np.int64 and len(powers) == p - 1
+        for m in {0, p - 2} | {rng.randrange(p - 1) for _ in range(50)}:
+            assert powers[m] == pow(tau, m, p), (m, p)
+        for u in {1, p - 1} | {rng.randrange(1, p) for _ in range(18)}:
+            truth = int(sympy.is_primitive_root(u, p))
+            assert charsum.psi_divisor_dependent(u, p).value == truth, (u, p)
+            assert charsum.psi_divisor_free(u, p).value == truth, (u, p)
