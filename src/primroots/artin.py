@@ -20,6 +20,9 @@ from .primroot import _passes, _test_exponents, primitive_root_mask
 from .special_primes import germain_decompose
 
 DEFAULT_SCAN_CAP = 10**5
+# A scan holds its rows in memory, about 440 bytes a base: 10^6 bases is
+# about 0.45 GB and 15 s of CPU on one core.
+SCAN_SPAN_LIMIT = 10**6
 _REFERENCE_CUTOFF = 10**6
 
 # Below e^e the (log log q)^3 factor is <= 1 and the conjectured bound is
@@ -173,11 +176,12 @@ def conjecture_scan(qmin: int, qmax: int, cap: int = DEFAULT_SCAN_CAP,
                     threads: int = 1, progress=None) -> list:
     """One ScanRecord per admissible q in [qmin, qmax], ascending.
 
-    Squares and q < 2 are skipped automatically. With threads > 1 the
-    q-range is partitioned into contiguous chunks across worker processes,
-    at most min(threads, cpu count, chunk count) of them; chunks are merged
-    in order, so output is deterministic either way. progress, if given, is
-    called as progress(done, total) after each chunk.
+    Squares and q < 2 are skipped automatically; a range of more than
+    SCAN_SPAN_LIMIT bases is refused before anything is allocated. With
+    threads > 1 the q-range is partitioned into contiguous chunks across
+    worker processes, at most min(threads, cpu count, chunk count) of them;
+    chunks are merged in order, so output is deterministic either way.
+    progress, if given, is called as progress(done, total) after each chunk.
     """
     check_natural(qmin, "qmin")
     check_natural(qmax, "qmax")
@@ -188,8 +192,11 @@ def conjecture_scan(qmin: int, qmax: int, cap: int = DEFAULT_SCAN_CAP,
         raise DomainError(f"threads must be an integer >= 1, got {threads}")
     if cap < 3:
         raise DomainError(f"cap must be >= 3, got {cap}")
-    threads = min(threads, os.cpu_count() or 1)
     span = qmax - qmin + 1
+    if span > SCAN_SPAN_LIMIT:
+        raise DomainError(f"qmax = {qmax} spans {span} bases from qmin = {qmin}, "
+                          f"past SCAN_SPAN_LIMIT = {SCAN_SPAN_LIMIT}")
+    threads = min(threads, os.cpu_count() or 1)
     chunk = max(1, min(2048, span // max(1, 4 * threads) + 1))
     bounds = [(lo, min(lo + chunk - 1, qmax), cap)
               for lo in range(qmin, qmax + 1, chunk)]

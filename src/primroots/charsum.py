@@ -170,8 +170,12 @@ def psi_divisor_free(u: int, p: int, literal: bool = False,
     _, powers = _power_table(p, tau)
     if literal and p > LITERAL_LIMIT:
         raise DomainError(f"literal mode is capped at p <= {LITERAL_LIMIT}")
-    # tau^n for each n in [1, p-1] coprime to p-1, in ascending n.
-    coprime_powers = np.roll(powers, -1)[np.gcd(np.arange(1, p), p - 1) == 1]
+    # tau^n for each n in [1, p-1] coprime to p-1, in ascending n: strike
+    # the multiples of each prime factor of p-1 (n sits at index n-1).
+    coprime = np.ones(p - 1, dtype=bool)
+    for ell, _ in factor(p - 1).factors:
+        coprime[ell - 1 :: ell] = False
+    coprime_powers = np.roll(powers, -1)[coprime]
     if not literal:
         hits = int(np.count_nonzero(coprime_powers == u))
         return _finish(p, u, "divisor-free", complex(hits))

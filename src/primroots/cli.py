@@ -9,12 +9,11 @@ stderr, no traceback).
 """
 
 import argparse
-import csv
 import io
 import json
 import sys
 from collections import namedtuple
-from dataclasses import dataclass, field
+from contextlib import redirect_stdout
 
 from . import artin, charsum, special_primes
 from .arith import DomainError
@@ -30,9 +29,13 @@ Command = namedtuple("Command", "help flags columns handler")
 
 # Every subcommand, in --help order. Filled by @command.
 COMMANDS = {}
+# The parser: built by the first run(), through build_parser, and reused.
+_parser = None
 
 _REQUIRED_INT = {"type": int, "required": True}
 _CAP = ("cap", {"type": int, "default": artin.DEFAULT_SCAN_CAP})
+_FORMAT = ("format", {"choices": ("csv", "json"), "default": "csv",
+                      "help": "output format (default csv)"})
 
 
 def command(name, help, flags, columns):
@@ -44,46 +47,43 @@ def command(name, help, flags, columns):
     return register
 
 
-@dataclass
-class OutputRecord:
-    schema_version: str
-    command: str
-    parameters: dict
-    rows: list = field(default_factory=list)
+# One invocation's result: flag values and rows as tuples in column order.
+OutputRecord = namedtuple("OutputRecord", "command parameters rows")
 
 
-def _csv_cell(value):
+def _cell(value, fmt):
+    """One cell as CSV or JSON text, floats at 12 significant digits. A JSON
+    float is repr(float(f"{v:.12g}")), which is json's own encoding of a
+    finite float; no float cell is infinite or NaN."""
     if value is None:
-        return ""
+        return "null" if fmt == "json" else ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
-
-
-def _json_value(value):
-    if isinstance(value, float):
-        return float(f"{value:.12g}")
-    return value
+        return repr(float(f"{value:.12g}")) if fmt == "json" else f"{value:.12g}"
+    return json.dumps(value) if fmt == "json" and isinstance(value, str) else str(value)
 
 
 def emit(record: OutputRecord, fmt: str, out=None):
+    """Write the record row by row, as csv.writer or json.dumps(indent=2)
+    would; no CSV cell needs quoting (numbers, bools, empty, method names)."""
     out = out or sys.stdout
     columns = COMMANDS[record.command].columns
-    if fmt == "json":
-        doc = {
-            "schema_version": record.schema_version,
-            "command": record.command,
-            "parameters": {k: _json_value(v) for k, v in record.parameters.items()},
-            "rows": [{c: _json_value(v) for c, v in zip(columns, row)} for row in record.rows],
-        }
-        out.write(json.dumps(doc, indent=2) + "\n")
-    else:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(columns)
+    if fmt == "csv":
+        out.write(",".join(columns) + "\n")
         for row in record.rows:
-            writer.writerow([_csv_cell(v) for v in row])
+            out.write(",".join([_cell(v, fmt) for v in row]) + "\n")
+        return
+    head = json.dumps({"schema_version": SCHEMA_VERSION, "command": record.command,
+                       "parameters": record.parameters}, indent=2)
+    out.write(head[:-2] + ',\n  "rows": [')  # the head minus its closing brace
+    keys = [f'\n      "{c}": ' for c in columns]
+    closing = "]\n}\n"
+    for i, row in enumerate(record.rows):
+        cells = ",".join([key + _cell(v, fmt) for key, v in zip(keys, row)])
+        out.write(("," if i else "") + "\n    {" + cells + "\n    }")
+        closing = "\n  ]\n}\n"
+    out.write(closing)
 
 
 @command("order", "multiplicative order of u mod n", ["u", "n"],
@@ -207,13 +207,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="primroots",
         description="Primitive-root tests, special prime families, character "
                     "sums, and least-prime scans.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="output format (default csv)")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, cmd in COMMANDS.items():
-        p = sub.add_parser(name, parents=[common], help=cmd.help)
-        for flag, kwargs in cmd.flags:
+        p = sub.add_parser(name, help=cmd.help)
+        for flag, kwargs in (_FORMAT, *cmd.flags):
             p.add_argument(f"--{flag}", **kwargs)
     return parser
 
@@ -222,15 +219,16 @@ def _execute(args) -> OutputRecord:
     rows = COMMANDS[args.command].handler(args)
     parameters = {k: v for k, v in vars(args).items()
                   if k not in ("command", "format")}
-    return OutputRecord(schema_version=SCHEMA_VERSION, command=args.command,
-                        parameters=parameters, rows=rows)
+    return OutputRecord(args.command, parameters, rows)
 
 
 def run(argv) -> int:
     """Dispatch one invocation; returns the process exit code."""
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
@@ -246,10 +244,12 @@ def run(argv) -> int:
 
 
 def render(argv, fmt=None) -> str:
-    """run() with stdout captured; used by tests to diff CLI against library."""
-    args = build_parser().parse_args(argv)
+    """run() with stdout captured; raises unless it exits 0."""
     buf = io.StringIO()
-    emit(_execute(args), fmt or args.format, out=buf)
+    with redirect_stdout(buf):
+        code = run([*argv, "--format", fmt] if fmt else argv)
+    if code != 0:
+        raise RuntimeError(f"primroots {' '.join(argv)} exited {code}")
     return buf.getvalue()
 
 

@@ -13,6 +13,8 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 
+import pytest
+
 from primroots import artin as artin_mod
 from primroots.arith import log_integral
 from primroots.artin import artin_constant, conjecture_scan, prime_counts, summarize_scan
@@ -100,6 +102,7 @@ def _germain_agreement_chunk(triples):
     return pairs, mismatches
 
 
+@pytest.mark.slow
 def test_criterion_4_short_test_soundness():
     budget = 300.0
     t0 = time.time()

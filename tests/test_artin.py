@@ -5,6 +5,7 @@ import pytest
 from primroots import DomainError, artin
 from primroots.artin import (
     BOUND_MIN_Q,
+    SCAN_SPAN_LIMIT,
     artin_constant,
     conjecture_bound,
     conjecture_scan,
@@ -165,6 +166,18 @@ def test_scan_summary():
     assert summary.max_ratio == max(r.ratio for r in records if r.ratio is not None)
     hits = sum(1 for r in records if r.germain_hit)
     assert math.isclose(summary.germain_fraction, hits / len(records))
+
+
+def test_scan_refuses_a_span_past_the_limit_before_scanning(monkeypatch):
+    def no_scan(bounds):
+        raise AssertionError("a base was scanned")
+
+    monkeypatch.setattr(artin, "_scan_chunk", no_scan)
+    with pytest.raises(DomainError, match=f"qmax = {SCAN_SPAN_LIMIT} spans "
+                                          f"{SCAN_SPAN_LIMIT + 1} bases"):
+        conjecture_scan(0, SCAN_SPAN_LIMIT)
+    monkeypatch.setattr(artin, "_scan_chunk", lambda bounds: [])
+    assert conjecture_scan(1, SCAN_SPAN_LIMIT) == []  # exactly at the limit
 
 
 class _RecordingPool:

@@ -1,11 +1,16 @@
+import contextlib
 import csv
 import io
 import json
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from primroots import DomainError, artin, charsum, factorize, primroot
-from primroots.cli import COLUMNS, render, run
+from primroots import DomainError, artin, charsum, cli, factorize, primroot
+from primroots.artin import SCAN_SPAN_LIMIT
+from primroots.charsum import LITERAL_LIMIT, TABLE_LIMIT
+from primroots.cli import COLUMNS, COMMANDS, SCHEMA_VERSION, render, run
 from primroots.factorize import SIEVE_LIMIT, factor
 from primroots.primroot import multiplicative_order
 from primroots.special_primes import enumerate_k_pow2_primes, sieve_primes
@@ -230,3 +235,131 @@ def test_internal_invariant_failures_exit_3(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err.startswith("internal error: accumulator")
     assert captured.err.count("\n") == 1
+
+
+def test_scan_refuses_a_span_past_the_limit(capsys):
+    assert run(["scan", "--qmin", "0", "--qmax", str(2**63 - 1)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: qmax = {2**63 - 1} spans {2**63} bases from qmin = 0, "
+                            f"past SCAN_SPAN_LIMIT = {SCAN_SPAN_LIMIT}\n")
+
+
+def test_run_builds_the_parser_once(monkeypatch, capsys):
+    build, builds = cli.build_parser, []
+
+    def counting_build():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    assert run(["order", "--u", "2", "--n", "5"]) == 0
+    assert run(["order", "--u", "2"]) == 2
+    assert run(["order", "--u", "2", "--n", "4"]) == 1
+    with pytest.raises(RuntimeError, match="exited 1"):
+        render(["order", "--u", "2", "--n", "4"])
+    assert render(["order", "--u", "2", "--n", "5"], fmt="json").startswith("{")
+    assert len(builds) == 1
+    capsys.readouterr()
+
+
+# Every subcommand, plus empty results, null cells and string cells.
+ENCODED = [
+    ["order", "--u", "7", "--n", "30"],
+    ["is-primroot", "--u", "3", "--p", "7"],
+    ["lift", "--u", "2", "--n", "15"],
+    ["germain", "--limit", "100"],
+    ["germain", "--limit", "100", "--s", "9"],
+    ["germain-test", "--q", "2", "--p", "13"],
+    ["fermat-test", "--q", "3", "--f", "257"],
+    ["k2n", "--k", "3", "--nmax", "20"],
+    ["k2n", "--k", "3", "--nmax", "0"],
+    ["psi", "--u", "3", "--p", "101", "--method", "divisor"],
+    ["psi", "--u", "3", "--p", "101", "--method", "free", "--literal"],
+    ["interval", "--z", "100", "--q", "3"],
+    ["artin-constant", "--cutoff", "1000"],
+    ["density", "--q", "2", "--x", "1000"],
+    ["least-prime", "--q", "510", "--cap", "43"],
+    ["scan", "--qmin", "2", "--qmax", "60"],
+]
+
+
+def _rounded(value):
+    return float(f"{value:.12g}") if isinstance(value, float) else value
+
+
+def _csv_text(value):
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return f"{value:.12g}" if isinstance(value, float) else str(value)
+
+
+def test_encoded_cases_cover_every_subcommand():
+    assert {argv[0] for argv in ENCODED} == set(COMMANDS)
+
+
+@pytest.mark.parametrize("argv", ENCODED, ids=" ".join)
+def test_emit_matches_the_stdlib_encoders(argv, capsys):
+    record = cli._execute(cli.build_parser().parse_args(argv))
+    columns = COLUMNS[record.command]
+    doc = {"schema_version": SCHEMA_VERSION, "command": record.command,
+           "parameters": record.parameters,
+           "rows": [{c: _rounded(v) for c, v in zip(columns, row)} for row in record.rows]}
+    assert render(argv, "json") == json.dumps(doc, indent=2) + "\n"
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([[_csv_text(v) for v in row] for row in record.rows])
+    assert render(argv, "csv") == text.getvalue()
+    capsys.readouterr()
+
+
+# Boundary values for every int flag. Table sizes skip TABLE_LIMIT + 1, a
+# legal size that takes seconds; the others are desk scale or refused.
+BOUNDARY = (0, 1, 2, -1, 49, 3, 5, 7, 97, 2**63 - 1, 2**63, SIEVE_LIMIT + 1,
+            TABLE_LIMIT + 1, LITERAL_LIMIT + 1, SCAN_SPAN_LIMIT + 1)
+TABLE_SIZES = {"x", "z", "limit", "cutoff", "cap"}
+
+
+def _flag_values(flag, kwargs):
+    if kwargs.get("action") == "store_true":
+        return st.booleans()
+    if "choices" in kwargs:
+        return st.sampled_from((None, *kwargs["choices"], "bogus"))
+    if flag == "threads":
+        return st.sampled_from((None, -1, 0, 1, 2))
+    values = [v for v in BOUNDARY if flag not in TABLE_SIZES or v != TABLE_LIMIT + 1]
+    return st.sampled_from([None, *values])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_every_subcommand_answers_or_refuses(data):
+    name = data.draw(st.sampled_from(list(COMMANDS)))
+    argv, drawn = [name], {}
+    for flag, kwargs in COMMANDS[name].flags:
+        drawn[flag] = value = data.draw(_flag_values(flag, kwargs), label=flag)
+        if value is True:
+            argv.append(f"--{flag}")
+        elif value not in (None, False):
+            argv += [f"--{flag}", str(value)]
+    if name == "scan":  # an accepted span of more than 10^4 bases takes seconds
+        qmin, qmax = drawn["qmin"], drawn["qmax"]
+        assume(qmin is None or qmax is None or not 10**4 < qmax - qmin + 1 <= SCAN_SPAN_LIMIT)
+    argv += ["--format", data.draw(st.sampled_from(("csv", "json")))]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3)
+    if code == 0:
+        if argv[-1] == "json":
+            assert json.loads(out)["command"] == name
+        else:
+            assert out.split("\n", 1)[0] == ",".join(COLUMNS[name])
+    if code == 1:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
