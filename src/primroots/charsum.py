@@ -167,9 +167,9 @@ def psi_divisor_free(u: int, p: int, literal: bool = False,
     u %= p
     if u == 0:
         raise DomainError("u = 0 mod p is excluded")
-    _, powers = _power_table(p, tau)
     if literal and p > LITERAL_LIMIT:
         raise DomainError(f"literal mode is capped at p <= {LITERAL_LIMIT}")
+    _, powers = _power_table(p, tau)
     # tau^n for each n in [1, p-1] coprime to p-1, in ascending n: strike
     # the multiples of each prime factor of p-1 (n sits at index n-1).
     coprime = np.ones(p - 1, dtype=bool)

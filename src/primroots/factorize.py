@@ -1,16 +1,16 @@
 """Prime factorization and the arithmetic functions built on it.
 
-Factoring is trial division against a cached prime tuple, then Pollard rho
-with Brent cycling for whatever survives. Primality is deterministic
+Factoring is trial division by the primes up to 37, then Pollard rho with
+Brent cycling for whatever survives. Primality is deterministic
 Miller-Rabin (7-witness set, exact below 2^64), so nothing here is
 probabilistic.
 
 The package's one source of primes is a smallest-prime-factor (SPF) table,
 grown lazily (by doubling) up to SIEVE_LIMIT and never built at import.
 It lists the primes up to a limit and gives the distinct prime factors of
-every value it covers in O(log n) lookups. ``factor`` takes only its
-trial divisors from it and ``is_prime`` nothing, so both stay an
-independent reference for the table.
+every value it covers in O(log n) lookups. Neither ``factor`` nor
+``is_prime`` reads it, so both stay an independent reference for the
+table.
 """
 
 import math
@@ -29,7 +29,6 @@ SIEVE_LIMIT = 10**8
 # (Sinclair's 7-witness set).
 _MR_WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
-_TRIAL_LIMIT = 10**6
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # spf[n] is the least prime factor of a composite n < len(spf), and 0 for a
@@ -204,17 +203,12 @@ def factor(n: int) -> Factorization:
         raise DomainError("factor(0) is undefined")
     original = n
     found = {}
-    for p in prime_tuple(_TRIAL_LIMIT):
-        if p * p > n:
-            break
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            found[p] = e
-    # Survivors are > 10^12 or prime; split them with rho.
-    stack = [n] if n > 1 else []
+    for p in _SMALL_PRIMES:
+        while n % p == 0:
+            n //= p
+            found[p] = found.get(p, 0) + 1
+    # The survivor has no prime factor below 41; split it with rho.
+    stack = [n]
     while stack:
         m = stack.pop()
         if m == 1:

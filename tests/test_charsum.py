@@ -111,6 +111,14 @@ def test_literal_mode_is_capped():
         psi_divisor_free(2, big, literal=True)
 
 
+def test_literal_mode_is_refused_before_the_power_table(monkeypatch):
+    def no_table(p, tau):
+        raise AssertionError(f"power table built for p = {p}")
+    monkeypatch.setattr(charsum, "_power_table", no_table)
+    with pytest.raises(DomainError, match=f"literal mode is capped at p <= {LITERAL_LIMIT}"):
+        psi_divisor_free(5, 5003, literal=True)
+
+
 def test_interval_example_z10():
     d = decompose_interval(10, 2)
     assert d.psi_sum == 3  # 11, 13, 19 (2 has order 8 mod 17)

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -319,9 +320,13 @@ def test_emit_matches_the_stdlib_encoders(argv, capsys):
 
 # Boundary values for every int flag. Table sizes skip TABLE_LIMIT + 1, a
 # legal size that takes seconds; the others are desk scale or refused.
+# 5003 is the least prime past LITERAL_LIMIT.
 BOUNDARY = (0, 1, 2, -1, 49, 3, 5, 7, 97, 2**63 - 1, 2**63, SIEVE_LIMIT + 1,
-            TABLE_LIMIT + 1, LITERAL_LIMIT + 1, SCAN_SPAN_LIMIT + 1)
+            TABLE_LIMIT + 1, LITERAL_LIMIT + 1, 5003, SCAN_SPAN_LIMIT + 1)
 TABLE_SIZES = {"x", "z", "limit", "cutoff", "cap"}
+# Every cache that holds a table or a factorization, cleared per example.
+CACHES = (factorize.factor, factorize.is_prime, factorize.prime_tuple,
+          primroot._test_exponents, charsum._power_table)
 
 
 def _flag_values(flag, kwargs):
@@ -351,8 +356,17 @@ def test_every_subcommand_answers_or_refuses(data):
         assume(qmin is None or qmax is None or not 10**4 < qmax - qmin + 1 <= SCAN_SPAN_LIMIT)
     argv += ["--format", data.draw(st.sampled_from(("csv", "json")))]
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run(argv)
+    # Start from the import-time SPF table and empty caches, so that a
+    # refusal that grows a table shows; the table is put back afterwards.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(factorize, "_spf", np.zeros(2, dtype=np.uint16))
+        mp.setattr(factorize, "_primes", np.zeros(0, dtype=np.int64))
+        for cache in CACHES:
+            cache.cache_clear()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        table_size = len(factorize._spf)
+    power_tables = charsum._power_table.cache_info().currsize
     out, err = out.getvalue(), err.getvalue()
     assert code in (0, 1, 2, 3)
     if code == 0:
@@ -363,3 +377,4 @@ def test_every_subcommand_answers_or_refuses(data):
     if code == 1:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert table_size == 2 and power_tables == 0  # refused before any table

@@ -1,9 +1,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
-from primroots import DomainError
+from primroots import DomainError, factorize
 from primroots.factorize import (
     Factorization,
     carmichael_lambda,
@@ -90,6 +91,18 @@ def test_factor_structure_invariants():
 def test_factor_large_semiprime():
     p, q = 1000003, 1000033
     assert factor(p * q).factors == ((p, 1), (q, 1))
+
+
+def test_factor_reads_no_prime_table(monkeypatch):
+    monkeypatch.setattr(factorize, "_spf", np.zeros(2, dtype=np.uint16))
+    monkeypatch.setattr(factorize, "_primes", np.zeros(0, dtype=np.int64))
+    factor.cache_clear()
+    factorize.prime_tuple.cache_clear()
+    p, q = 2**30 + 3, 2**31 - 1  # a 62-bit semiprime
+    assert factor(2**61 - 1).factors == ((2**61 - 1, 1),)
+    assert factor(p * q).factors == ((p, 1), (q, 1))
+    assert factor(999999).factors == ((3, 3), (7, 1), (11, 1), (13, 1), (37, 1))
+    assert len(factorize._spf) == 2
 
 
 def test_euler_phi_examples():

@@ -1,7 +1,8 @@
 """Differential tests against sympy, an independent implementation.
 
 Inputs are drawn from seeded generators, so every run checks the same
-values. The factor cases past 10^12 are the ones where Pollard rho runs.
+values. ``factor`` hands Pollard rho whatever is left after dividing by
+the primes up to 37; ``_rho_inputs`` draws the shapes that leaves.
 """
 
 import math
@@ -28,6 +29,29 @@ def _primes(seed, count, lo, hi):
     return [sympy.nextprime(rng.randrange(lo, hi)) for _ in range(count)]
 
 
+def _products(seed, count, hi, most):
+    """Products of 2 to ``most`` primes from (37, hi], each below NATURAL_MAX."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        k = rng.randint(2, most)
+        top = min(hi, int(NATURAL_MAX ** (1 / k)))
+        out.append(math.prod(sympy.prevprime(rng.randrange(42, top + 1)) for _ in range(k)))
+    return out
+
+
+def _rho_inputs():
+    """Inputs that leave rho a cofactor to split: products of primes in
+    (37, 10^6] and in (37, 1000], prime powers, lambda(n) of 63-bit n and
+    p - 1 of 62-bit primes."""
+    rng = random.Random(19)
+    powers = [p**k for p in (41, 997, 1009, 65537, 999983) for k in range(1, 63)
+              if p**k <= NATURAL_MAX]
+    lambdas = [int(sympy.reduced_totient(rng.randrange(2**62, 2**63))) for _ in range(20)]
+    return (_products(20, 150, 10**6, 6) + _products(21, 150, 1000, 6) + powers + lambdas
+            + [p - 1 for p in _primes(22, 30, 2**61, 2**62)])
+
+
 def test_is_prime_matches_isprime():
     semiprimes = [p * q for p, q in zip(_primes(1, 50, 10**4, 10**9),
                                         _primes(2, 50, 10**4, 10**9))]
@@ -38,7 +62,8 @@ def test_is_prime_matches_isprime():
 
 
 def test_factor_matches_factorint_below_10_12():
-    for n in list(range(2, 3000)) + _naturals(5, 300, 10**12):
+    rho = [n for n in _rho_inputs() if n <= 10**12]
+    for n in list(range(2, 3000)) + _naturals(5, 300, 10**12) + rho:
         assert dict(factor(n).factors) == sympy.factorint(n), n
 
 
@@ -47,7 +72,8 @@ def test_factor_matches_factorint_past_10_12():
                                         _primes(7, 10, 2**30, 2**31))]
     squares = [p**2 for p in _primes(8, 5, 10**6, 3 * 10**9)]
     cubes = [p**3 for p in _primes(9, 5, 10**6, 2 * 10**6)]
-    for n in semiprimes + squares + cubes + [2**61 - 1, 2**63 - 26]:
+    rho = [n for n in _rho_inputs() if n > 10**12]
+    for n in semiprimes + squares + cubes + rho + [2**61 - 1, 2**63 - 26]:
         assert n > 10**12
         assert dict(factor(n).factors) == sympy.factorint(n), n
 
