@@ -17,7 +17,6 @@ from contextlib import redirect_stdout
 
 from . import artin, charsum, special_primes
 from .arith import DomainError
-from .factorize import factor
 from .primroot import is_primitive_root_prime, lift_primitive_root, multiplicative_order
 
 SCHEMA_VERSION = "1"
@@ -101,7 +100,7 @@ def _cmd_is_primroot(args):
 @command("lift", "lift the test through the prime-power divisors of n", ["u", "n"],
          "u n primitive")
 def _cmd_lift(args):
-    return [(args.u, args.n, lift_primitive_root(args.u, factor(args.n)))]
+    return [(args.u, args.n, lift_primitive_root(args.u, args.n))]
 
 
 @command("germain", "generalized Germain primes up to a limit",

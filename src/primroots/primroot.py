@@ -41,16 +41,19 @@ def _require_prime(p, name="p"):
         raise DomainError(f"{name} = {p} is not prime")
 
 
-def _unit(u, n):
-    """u mod n, refused unless n >= 2 and u is a unit mod n."""
+def _unit(u, n, quote_given=False):
+    """u mod n, refused unless n >= 2 and u is a unit mod n.
+
+    The refusal names u mod n, or u as given when ``quote_given`` is set.
+    """
     check_natural(u, "u")
     check_natural(n, "n")
     if n < 2:
         raise DomainError(f"modulus must be >= 2, got {n}")
-    u %= n
-    if _gcd(u, n) != 1:
-        raise DomainError(f"u = {u} is not a unit mod {n}")
-    return u
+    r = u % n
+    if _gcd(r, n) != 1:
+        raise DomainError(f"u = {u if quote_given else r} is not a unit mod {n}")
+    return r
 
 
 def _passes(u, n, exponents):
@@ -135,28 +138,23 @@ def is_lambda_primitive_root(u: int, n: int) -> bool:
     return _passes(_unit(u, n), n, _test_exponents(carmichael_lambda(factor(n))))
 
 
-def lift_primitive_root(u: int, f) -> bool:
+def lift_primitive_root(u: int, n: int) -> bool:
     """Lift the maximal-order property from prime powers to their product.
 
-    Tests u against every prime-power divisor of f.n; if all pass, the
+    Tests u against every prime-power divisor of n; if all pass, the
     conclusion (u has order lambda(n) mod n) is re-verified before
     returning True, so a True answer is the checked claim, not a trusted
     one. The input u must not be 0, +-1 mod n, or a perfect square (the
-    global exclusions; squares are never maximal-order elements).
+    global exclusions; squares are never maximal-order elements). Every
+    refusal comes before n is factored.
     """
-    check_natural(u, "u")
-    n = f.n
-    if n < 2:
-        raise DomainError(f"modulus must be >= 2, got {n}")
-    r = u % n
-    if _gcd(r, n) != 1:
-        raise DomainError(f"u = {u} is not a unit mod {n}")
+    r = _unit(u, n, quote_given=True)
     if r == 1 or r == n - 1:
         raise DomainError("u = +-1 mod n is excluded from the lift")
     s = isqrt(u)
     if s * s == u:
         raise DomainError(f"u = {u} is a perfect square, excluded from the lift")
-    for p, e in f.factors:
+    for p, e in factor(n).factors:
         if not is_lambda_primitive_root(u, p**e):
             return False
     if not is_lambda_primitive_root(u, n):

@@ -156,6 +156,27 @@ def test_log_integral_domain():
             log_integral(x)
 
 
+def test_log_integral_relative_accuracy_past_1e6():
+    # frozen via mpmath.li(x) - mpmath.li(2) at 30 significant digits, with
+    # x the exact binary value of each float key (2.0000001 is not 2 + 1e-7)
+    oracle = {
+        2.0000001: 1.44269498649365819882383498541e-7,
+        2.001: 1.44217503534829061321812444776e-3,
+        1e7: 664917.359884788794836428042012,
+        1e8: 5762208.33028425135007628876478,
+        2e8: 11079973.8073617147645753623914,
+        1e12: 37607950279.7597017094174343061,
+    }
+    for x, expected in oracle.items():
+        assert log_integral(x) == pytest.approx(expected, rel=1e-14, abs=0)
+
+
+def test_log_integral_refuses_infinity():
+    with pytest.raises(DomainError, match="log_integral requires a finite x, got inf"):
+        log_integral(math.inf)
+    assert log_integral(1e12) > 0
+
+
 def test_check_natural_bounds():
     arith.check_natural(0)
     arith.check_natural(NATURAL_MAX)

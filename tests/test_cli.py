@@ -220,6 +220,22 @@ def test_scan_checks_cap_before_any_base_or_fork(monkeypatch, capsys):
         artin.conjecture_scan(2, 400, cap=2, threads=2)
 
 
+def test_lift_refuses_u_before_factoring_n(monkeypatch, capsys):
+    # n is the 63-bit semiprime (2^31 - 1) * 3037000493: factoring it runs Pollard rho.
+    real_factor = factorize.factor
+
+    def no_factor(n):
+        raise AssertionError(f"n = {n} was factored before u was checked")
+
+    for module in (cli, primroot, factorize):
+        if getattr(module, "factor", None) is real_factor:
+            monkeypatch.setattr(module, "factor", no_factor)
+    assert run(["lift", "--u", str(2**63), "--n", "6521908894648437971"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: u = {2**63} exceeds the ceiling {2**63 - 1}\n"
+
+
 def test_internal_invariant_failures_exit_3(monkeypatch, capsys):
     # The lift's final re-check fails although every prime-power test passed.
     monkeypatch.setattr(primroot, "is_lambda_primitive_root", lambda u, n: n != 15)

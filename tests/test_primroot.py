@@ -113,14 +113,14 @@ def test_lambda_primitive_matches_order():
 
 
 def test_lift_examples():
-    assert lift_primitive_root(2, factor(15))
-    assert lift_primitive_root(2, factor(9))  # single prime power, vacuous lift
+    assert lift_primitive_root(2, 15)
+    assert lift_primitive_root(2, 9)  # single prime power, vacuous lift
     with pytest.raises(DomainError):
-        lift_primitive_root(4, factor(15))    # perfect square
+        lift_primitive_root(4, 15)   # perfect square
     with pytest.raises(DomainError):
-        lift_primitive_root(14, factor(15))   # -1 mod n
+        lift_primitive_root(14, 15)  # -1 mod n
     with pytest.raises(DomainError):
-        lift_primitive_root(3, factor(15))    # shares a factor
+        lift_primitive_root(3, 15)   # shares a factor
 
 
 def test_lift_soundness_squarefree_semiprimes():
@@ -137,7 +137,7 @@ def test_lift_soundness_squarefree_semiprimes():
             for u in range(2, n - 1):
                 if math.gcd(u, n) != 1 or math.isqrt(u) ** 2 == u:
                     continue
-                if lift_primitive_root(u, f):
+                if lift_primitive_root(u, n):
                     assert multiplicative_order(u, n).order == lam
                     lifted += 1
     assert lifted > 100  # the property was exercised, not vacuous
@@ -206,11 +206,11 @@ REFUSALS = [
                  id="lambda-non-unit"),
     pytest.param(is_lambda_primitive_root, (2, 1), "modulus must be >= 2, got 1",
                  id="lambda-n1"),
-    pytest.param(lift_primitive_root, (30, factor(15)), "u = 30 is not a unit mod 15",
+    pytest.param(lift_primitive_root, (30, 15), "u = 30 is not a unit mod 15",
                  id="lift-u0"),
-    pytest.param(lift_primitive_root, (3, factor(15)), "u = 3 is not a unit mod 15",
+    pytest.param(lift_primitive_root, (3, 15), "u = 3 is not a unit mod 15",
                  id="lift-non-unit"),
-    pytest.param(lift_primitive_root, (2, factor(1)), "modulus must be >= 2, got 1",
+    pytest.param(lift_primitive_root, (2, 1), "modulus must be >= 2, got 1",
                  id="lift-n1"),
     pytest.param(least_prime_with_primitive_root, (0,),
                  "q = 0 is excluded (0 and +-1 are never primitive roots)", id="least-prime-q0"),
