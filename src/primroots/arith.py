@@ -6,6 +6,7 @@ instead of silently degrading, so the bound is honest.
 """
 
 import math
+import sys
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -91,7 +92,9 @@ def log_integral(x: float) -> float:
     math.fsum: relative error below 5e-15 against mpmath from x = 2 + 1e-7
     to 1e12, at a cost that grows only with ln x.
     """
-    x = float(x)
+    if not isinstance(x, (int, float)):
+        raise DomainError(f"log_integral requires an int or float x, got {type(x).__name__}")
+    x = (math.inf if x > 0 else -math.inf) if abs(x) > sys.float_info.max else float(x)
     if math.isnan(x) or x < 2.0:
         raise DomainError(f"log_integral requires x >= 2, got {x}")
     if x == math.inf:

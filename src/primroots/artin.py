@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import DomainError, check_natural, is_perfect_square
-from .factorize import check_sieve_limit, distinct_prime_factors, prime_tuple, primes_upto
+from .factorize import check_sieve_limit, distinct_prime_factors, primes_upto
 from .primroot import _passes, _test_exponents, primitive_root_mask
 from .special_primes import germain_decompose
 
@@ -139,13 +139,13 @@ def least_prime_with_primitive_root(q: int, cap: int = DEFAULT_SCAN_CAP):
     check_sieve_limit(cap, "cap")
     if cap < 3:
         raise DomainError(f"cap must be >= 3, got {cap}")
-    return _least_prime(q, cap)
+    return _least_prime(q, memoryview(primes_upto(cap))[1:])
 
 
-def _least_prime(q, cap):
-    """least_prime_with_primitive_root for an admissible q and cap >= 3."""
-    for p in prime_tuple(cap):
-        if p >= 3 and q % p and _passes(q, p, _test_exponents(p - 1)):
+def _least_prime(q, odd_primes):
+    """The search for an admissible q over odd_primes, a memoryview from 3 up."""
+    for p in odd_primes:
+        if q % p and _passes(q, p, _test_exponents(p - 1)):
             return p
     return None
 
@@ -157,19 +157,15 @@ def conjecture_bound(q: int) -> float:
     return math.log(q) * math.log(math.log(q)) ** 3
 
 
-def _scan_record(q, cap):
-    least = _least_prime(q, cap)
-    bound = conjecture_bound(q) if q >= BOUND_MIN_Q else None
-    ratio = least / bound if least is not None and bound is not None else None
-    hit = least is not None and germain_decompose(least) is not None
-    return ScanRecord(q=q, least_p=least, bound_value=bound, ratio=ratio,
-                      germain_hit=hit)
-
-
 def _scan_chunk(args):
     q_lo, q_hi, cap = args
-    return [_scan_record(q, cap) for q in range(q_lo, q_hi + 1)
-            if q >= 2 and not is_perfect_square(q)]
+    odd_primes = memoryview(primes_upto(cap))[1:]
+    qs = [q for q in range(max(q_lo, 2), q_hi + 1) if math.isqrt(q) ** 2 != q]
+    least = [_least_prime(q, odd_primes) for q in qs]
+    bounds = [conjecture_bound(q) if q >= BOUND_MIN_Q else None for q in qs]
+    return [ScanRecord(q, p, b, p / b if p and b else None,
+                       p is not None and germain_decompose(p) is not None)
+            for q, p, b in zip(qs, least, bounds)]
 
 
 def conjecture_scan(qmin: int, qmax: int, cap: int = DEFAULT_SCAN_CAP,

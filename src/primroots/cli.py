@@ -107,10 +107,8 @@ def _cmd_lift(args):
          ["limit", ("s", {"type": int, "help": "restrict to one power-of-two exponent"})],
          "p s r")
 def _cmd_germain(args):
-    forms = (special_primes.germain_decompose(p)
-             for p in special_primes.sieve_primes(args.limit) if p >= 3)
-    return [(f.p, f.s, f.r) for f in forms
-            if f is not None and (args.s is None or f.s == args.s)]
+    p, s, r = special_primes.germain_forms(args.limit)
+    return [row for row in zip(p.tolist(), s.tolist(), r.tolist()) if args.s in (None, row[1])]
 
 
 @command("germain-test", "two-exponentiation test for a Germain prime", ["q", "p"],

@@ -70,12 +70,6 @@ def primes_upto(limit: int) -> np.ndarray:
     return view
 
 
-@lru_cache(maxsize=4)
-def prime_tuple(limit: int) -> tuple:
-    """primes_upto(limit) as a tuple of Python ints, for scalar loops."""
-    return tuple(primes_upto(limit).tolist())
-
-
 def distinct_prime_factors(values: np.ndarray) -> np.ndarray:
     """Distinct prime factors of each value, read from the SPF table.
 

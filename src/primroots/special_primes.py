@@ -10,6 +10,8 @@ versus the generic test's omega(p-1) exponentiations.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .arith import NATURAL_MAX, DomainError, check_natural, jacobi
 from .factorize import is_prime, primes_upto
 
@@ -17,10 +19,7 @@ FERMAT_PRIMES = (3, 5, 17, 257, 65537)
 
 
 def sieve_primes(limit: int) -> list:
-    """All primes <= limit in ascending order, from the shared SPF table.
-
-    Refuses limit > SIEVE_LIMIT before allocating anything.
-    """
+    """primes_upto(limit) as a list; refused past SIEVE_LIMIT before any sieving."""
     return primes_upto(limit).tolist()
 
 
@@ -56,6 +55,16 @@ def germain_decompose(p: int):
     if r >= 3 and is_prime(r):
         return GermainForm(p=p, s=s, r=r)
     return None
+
+
+def germain_forms(limit: int) -> tuple:
+    """germain_decompose for every prime p <= limit, read from the sieve: arrays
+    (p, s, r) of the p whose odd part r of p - 1 is in primes_upto(limit)."""
+    primes = primes_upto(limit)
+    two_power = (primes - 1) & (1 - primes)  # the largest power of 2 dividing p - 1
+    r = (primes - 1) // two_power
+    keep = primes[np.searchsorted(primes, r).clip(max=primes.size - 1)] == r
+    return primes[keep], np.frexp(two_power[keep])[1] - 1, r[keep]
 
 
 def germain_primitive_root_test(q: int, g: GermainForm) -> bool:

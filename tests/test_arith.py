@@ -156,6 +156,15 @@ def test_log_integral_domain():
             log_integral(x)
 
 
+# float(x) raises OverflowError on the first two, ValueError on "x" and
+# TypeError on the last two; log_integral refuses each before calling it.
+@pytest.mark.parametrize("x", [10**400, -(10**400), "x", None, 3 + 0j],
+                         ids=["1e400", "-1e400", "str", "None", "complex"])
+def test_log_integral_refuses_what_float_cannot_take(x):
+    with pytest.raises(DomainError):
+        log_integral(x)
+
+
 def test_log_integral_relative_accuracy_past_1e6():
     # frozen via mpmath.li(x) - mpmath.li(2) at 30 significant digits, with
     # x the exact binary value of each float key (2.0000001 is not 2 + 1e-7)

@@ -126,6 +126,36 @@ def test_conjecture_bound():
         conjecture_bound(15)
 
 
+def test_least_prime_mod_5_claims_to_2e4():
+    # Q0: +-2 are the non-residues, hence the primitive roots, mod the Fermat
+    # prime 5; so 5 answers unless 3 does first, which is iff q = 2 mod 3.
+    # Q1: +-1 are squares mod 5, so 5 is never the least prime there.
+    records = conjecture_scan(2, 2 * 10**4)
+    assert [r.q for r in records] == [q for q in range(2, 2 * 10**4 + 1)
+                                      if math.isqrt(q) ** 2 != q]
+    for r in records:
+        assert least_prime_with_primitive_root(r.q) == r.least_p
+        if r.q % 5 in (2, 3):
+            assert r.least_p == (3 if r.q % 3 == 2 else 5), r.q
+        elif r.q % 5 in (1, 4):
+            assert r.least_p != 5, r.q
+
+
+# 30030 = 2*3*5*7*11*13 and 9699690 = 30030*17*19: windows around them hold q
+# divisible by every small prime, and caps up to 7 exhaust on some q.
+@pytest.mark.parametrize("cap", (3, 5, 7, 47))
+@pytest.mark.parametrize("qmin", (2, 30030 - 150, 9699690 - 150))
+def test_scan_rows_match_the_scalar_reference(qmin, cap):
+    records = conjecture_scan(qmin, qmin + 300, cap=cap)
+    for r in records:
+        least = least_prime_with_primitive_root(r.q, cap)
+        assert r.least_p == least, r.q
+        assert type(r.germain_hit) is bool
+        assert r.germain_hit == (least is not None and germain_decompose(least) is not None)
+    if cap <= 7:
+        assert any(r.least_p is None for r in records)
+
+
 def test_scan_small_range():
     records = conjecture_scan(2, 3)
     assert [(r.q, r.least_p) for r in records] == [(2, 3), (3, 5)]

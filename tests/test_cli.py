@@ -340,9 +340,6 @@ def test_emit_matches_the_stdlib_encoders(argv, capsys):
 BOUNDARY = (0, 1, 2, -1, 49, 3, 5, 7, 97, 2**63 - 1, 2**63, SIEVE_LIMIT + 1,
             TABLE_LIMIT + 1, LITERAL_LIMIT + 1, 5003, SCAN_SPAN_LIMIT + 1)
 TABLE_SIZES = {"x", "z", "limit", "cutoff", "cap"}
-# Every cache that holds a table or a factorization, cleared per example.
-CACHES = (factorize.factor, factorize.is_prime, factorize.prime_tuple,
-          primroot._test_exponents, charsum._power_table)
 
 
 def _flag_values(flag, kwargs):
@@ -358,7 +355,7 @@ def _flag_values(flag, kwargs):
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
-def test_every_subcommand_answers_or_refuses(data):
+def test_every_subcommand_answers_or_refuses(package_caches, data):
     name = data.draw(st.sampled_from(list(COMMANDS)))
     argv, drawn = [name], {}
     for flag, kwargs in COMMANDS[name].flags:
@@ -377,7 +374,7 @@ def test_every_subcommand_answers_or_refuses(data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(factorize, "_spf", np.zeros(2, dtype=np.uint16))
         mp.setattr(factorize, "_primes", np.zeros(0, dtype=np.int64))
-        for cache in CACHES:
+        for cache in package_caches:
             cache.cache_clear()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = run(argv)

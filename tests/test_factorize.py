@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from primroots import DomainError, factorize
+from primroots import DomainError, charsum, factorize, primroot
 from primroots.factorize import (
     Factorization,
     carmichael_lambda,
@@ -93,11 +93,19 @@ def test_factor_large_semiprime():
     assert factor(p * q).factors == ((p, 1), (q, 1))
 
 
-def test_factor_reads_no_prime_table(monkeypatch):
+def test_package_caches_reach_every_module(package_caches):
+    # the fixture walks the modules; a walk that found nothing would make
+    # every cache_clear loop over it a silent no-op
+    assert {factor, is_prime, primroot._test_exponents,
+            charsum._power_table} <= set(package_caches)
+    assert len(package_caches) == len(set(package_caches))
+
+
+def test_factor_reads_no_prime_table(monkeypatch, package_caches):
     monkeypatch.setattr(factorize, "_spf", np.zeros(2, dtype=np.uint16))
     monkeypatch.setattr(factorize, "_primes", np.zeros(0, dtype=np.int64))
-    factor.cache_clear()
-    factorize.prime_tuple.cache_clear()
+    for cache in package_caches:
+        cache.cache_clear()
     p, q = 2**30 + 3, 2**31 - 1  # a 62-bit semiprime
     assert factor(2**61 - 1).factors == ((2**61 - 1, 1),)
     assert factor(p * q).factors == ((p, 1), (q, 1))

@@ -12,6 +12,7 @@ from primroots.special_primes import (
     enumerate_k_pow2_primes,
     fermat_primitive_root_test,
     germain_decompose,
+    germain_forms,
     germain_primitive_root_test,
     sieve_primes,
 )
@@ -69,6 +70,17 @@ def test_germain_list_below_100():
     found = [germain_decompose(p) for p in sieve_primes(100) if p >= 3]
     found = [(g.p, g.s, g.r) for g in found if g is not None]
     assert found == GERMAIN_BELOW_100
+
+
+def test_germain_forms_match_germain_decompose_to_2e5():
+    forms = [germain_decompose(p) for p in sieve_primes(2 * 10**5) if p >= 3]
+    expected = [(g.p, g.s, g.r) for g in forms if g is not None]
+    p, s, r = germain_forms(2 * 10**5)
+    assert list(zip(p.tolist(), s.tolist(), r.tolist())) == expected
+    for limit, first in ((0, []), (2, []), (6, []), (7, [7]), (13, [7, 11, 13])):
+        assert germain_forms(limit)[0].tolist() == first
+    with pytest.raises(DomainError):
+        germain_forms(SIEVE_LIMIT + 1)
 
 
 def test_germain_form_round_trip():

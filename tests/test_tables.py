@@ -14,7 +14,6 @@ from primroots.factorize import (
     euler_phi,
     factor,
     is_prime,
-    prime_tuple,
     primes_upto,
     totients,
 )
@@ -26,7 +25,6 @@ BASES = (2, 3, 5, 6, 7, 10, 12, 2**63 - 1, 3 * 5 * 7 * 11 * 13)
 def test_table_primes_match_is_prime_filter_to_1e5():
     expected = [n for n in range(10**5 + 1) if is_prime(n)]
     assert primes_upto(10**5).tolist() == expected
-    assert prime_tuple(10**5) == tuple(expected)
 
 
 def test_primes_upto_is_a_read_only_view():
