@@ -1,7 +1,7 @@
 """Exact modular-arithmetic kernels and the offset logarithmic integral.
 
 Everything here works on desk-scale naturals: nonnegative integers up to
-NATURAL_MAX (2^63 - 1 by default). Values past the ceiling raise DomainError
+NATURAL_MAX = 2^63 - 1. Values past the ceiling raise DomainError
 instead of silently degrading, so the bound is honest.
 """
 
@@ -18,14 +18,14 @@ class DomainError(ValueError):
     """A precondition on an input was violated."""
 
 
-def check_natural(value, name="value", maximum=NATURAL_MAX):
+def check_natural(value, name="value"):
     """Validate that ``value`` is a natural number within the ceiling."""
     if not isinstance(value, int):
         raise DomainError(f"{name} must be an integer, got {type(value).__name__}")
     if value < 0:
         raise DomainError(f"{name} must be nonnegative, got {value}")
-    if value > maximum:
-        raise DomainError(f"{name} = {value} exceeds the ceiling {maximum}")
+    if value > NATURAL_MAX:
+        raise DomainError(f"{name} = {value} exceeds the ceiling {NATURAL_MAX}")
     return value
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import DomainError, check_natural, is_perfect_square
-from .factorize import check_sieve_limit, distinct_prime_factors, primes_upto
+from .factorize import check_sieve_limit, distinct_prime_factors, is_prime, primes_upto
 from .primroot import _passes, _test_exponents, primitive_root_mask
 from .special_primes import germain_decompose
 
@@ -134,16 +134,18 @@ def least_prime_with_primitive_root(q: int, cap: int = DEFAULT_SCAN_CAP):
 
     Primes dividing q are skipped, not counted as failures. Returns None
     when no prime <= cap qualifies (explicit exhaustion, not an error).
+    The odd numbers are tested with is_prime one by one, so the cost grows
+    with the answer, not with the cap, and no table is built.
     """
     _check_base(q)
     check_sieve_limit(cap, "cap")
     if cap < 3:
         raise DomainError(f"cap must be >= 3, got {cap}")
-    return _least_prime(q, memoryview(primes_upto(cap))[1:])
+    return _least_prime(q, (p for p in range(3, cap + 1, 2) if is_prime(p)))
 
 
 def _least_prime(q, odd_primes):
-    """The search for an admissible q over odd_primes, a memoryview from 3 up."""
+    """The search for an admissible q over odd_primes, ascending from 3."""
     for p in odd_primes:
         if q % p and _passes(q, p, _test_exponents(p - 1)):
             return p

@@ -1,13 +1,13 @@
 """Two representations of the primitive-element indicator, and the exact
 main-term/error-term decomposition over short prime intervals.
 
-The divisor-dependent form averages multiplicative characters over the
-divisors of p - 1; the divisor-free form is a double exponential sum over
-additive characters. Both land on the same {0, 1} indicator, and both are
-evaluated with a genuine complex accumulator whose distance to the rounded
-answer is retained for tolerance auditing. Characters are realized through
-a power table in base tau (the least primitive root), the only
-structure-compatible choice at desk scale.
+The divisor-dependent form sums the multiplicative characters of each
+squarefree order d | p - 1, weighted mu(d)/phi(d); the divisor-free form
+is a double exponential sum over additive characters. Both land on the
+same {0, 1} indicator, and both are evaluated with a genuine complex
+accumulator whose distance to the rounded answer is retained for tolerance
+auditing. Characters are realized through a power table in base tau (the
+least primitive root), the only structure-compatible choice at desk scale.
 """
 
 from dataclasses import dataclass
@@ -17,7 +17,7 @@ import numpy as np
 
 from .arith import DomainError, check_natural, log_integral
 from .artin import _check_base, reference_artin_constant
-from .factorize import (check_sieve_limit, distinct_prime_factors, euler_phi, factor, mobius,
+from .factorize import (check_sieve_limit, distinct_prime_factors, euler_phi, factor,
                         primes_upto, totients)
 from .primroot import (_passes, _require_prime, _test_exponents, least_primitive_root,
                        primitive_root_mask)
@@ -92,32 +92,6 @@ def _power_table(p, tau=None):
     return tau, powers[: p - 1]
 
 
-@lru_cache(maxsize=1)
-def _character_weights(p):
-    """Flattened character data for the divisor-dependent sum.
-
-    For each divisor d | p-1 and each 1 <= t <= d with gcd(t, d) = 1 there
-    is one character of order d; its value at tau^m is e^(2 pi i m t / d).
-    Returns (num [t values], den [d values], weight [mu(d)/phi(d)]) as
-    parallel arrays covering all p-1 characters.
-    """
-    n = p - 1
-    divisors = [1]
-    for prime, e in factor(n).factors:
-        divisors = [d * prime**k for d in divisors for k in range(e + 1)]
-    divisors.sort()
-    nums, weights = [], []
-    for d in divisors:
-        t = np.arange(1, d + 1, dtype=np.int64)
-        nums.append(t[np.gcd(t, d) == 1])
-        fd = factor(d)
-        weights.append(mobius(fd) / euler_phi(fd))
-    counts = [len(t) for t in nums]
-    return (np.concatenate(nums),
-            np.repeat(np.array(divisors, dtype=np.int64), counts),
-            np.repeat(np.array(weights, dtype=np.float64), counts))
-
-
 def _finish(p, u, method, raw):
     raw = complex(raw)
     value = int(round(raw.real))
@@ -131,12 +105,13 @@ def _finish(p, u, method, raw):
 
 
 def psi_divisor_dependent(u: int, p: int, tau: int = None) -> PsiEvaluation:
-    """Divisor-dependent indicator: (phi(p-1)/(p-1)) times the full
-    character sum over divisors d | p-1.
+    """Divisor-dependent indicator: (phi(p-1)/(p-1)) times the character sum
+    over divisors d | p-1, each order-d character weighted mu(d)/phi(d).
 
-    The sum runs over all p-1 characters (grouped by order), evaluated at
-    u through the discrete log; phases are reduced exactly in integers
-    before exponentiation so the accumulator error stays at machine scale.
+    Only squarefree d carry weight, so the sum runs one squarefree divisor
+    at a time over its phi(d) characters, evaluated at u through the
+    discrete log; phases are reduced exactly in integers before
+    exponentiation so the accumulator error stays at machine scale.
     """
     check_natural(u, "u")
     _require_desk_scale_prime(p)
@@ -145,11 +120,18 @@ def psi_divisor_dependent(u: int, p: int, tau: int = None) -> PsiEvaluation:
         raise DomainError("u = 0 mod p has no discrete log")
     _, powers = _power_table(p, tau)
     m = int(np.argmax(powers == u))  # the discrete log: tau^m = u
-    nums, dens, weights = _character_weights(p)
-    phases = (m * nums) % dens
-    terms = weights * np.exp((2j * np.pi) * (phases / dens))
-    raw = euler_phi(factor(p - 1)) / (p - 1) * terms.sum()
-    return _finish(p, u, "divisor-dependent", raw)
+    f = factor(p - 1)
+    # (d, mu(d), phi(d)) for every squarefree d | p-1, by subset products.
+    divisors = [(1, 1, 1)]
+    for ell, _ in f.factors:
+        divisors += [(d * ell, -mu, phi * (ell - 1)) for d, mu, phi in divisors]
+    raw = 0j
+    for d, mu, phi in divisors:
+        # The characters of order d send tau^m to e^(2 pi i m t / d), gcd(t, d) = 1.
+        t = np.arange(1, d + 1, dtype=np.int64)
+        phases = m * t[np.gcd(t, d) == 1] % d
+        raw += mu / phi * np.exp((2j * np.pi) * (phases / d)).sum()
+    return _finish(p, u, "divisor-dependent", euler_phi(f) / (p - 1) * raw)
 
 
 def psi_divisor_free(u: int, p: int, literal: bool = False,

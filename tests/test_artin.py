@@ -1,8 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
-from primroots import DomainError, artin
+from primroots import DomainError, artin, factorize
 from primroots.artin import (
     BOUND_MIN_Q,
     SCAN_SPAN_LIMIT,
@@ -111,6 +112,16 @@ def test_least_prime_exhaustion_marker():
     # q = 510 needs p = 47; a cap below that must report exhaustion
     assert least_prime_with_primitive_root(510) == 47
     assert least_prime_with_primitive_root(510, cap=43) is None
+
+
+def test_least_prime_builds_no_prime_table(monkeypatch, package_caches):
+    # The answer 47 decides the search; a cap of 10^8 must not size a sieve.
+    monkeypatch.setattr(factorize, "_spf", np.zeros(2, dtype=np.uint16))
+    monkeypatch.setattr(factorize, "_primes", np.zeros(0, dtype=np.int64))
+    for cache in package_caches:
+        cache.cache_clear()
+    assert least_prime_with_primitive_root(510, 10**8) == 47
+    assert len(factorize._spf) == 2
 
 
 def test_least_prime_domain():

@@ -1,8 +1,15 @@
+import cmath
+import csv
 import math
+import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import primroots
 from primroots import DomainError, charsum
 from primroots.arith import log_integral
 from primroots.artin import reference_artin_constant
@@ -97,12 +104,85 @@ def test_psi_caches_hold_one_prime_as_int64_arrays():
     for p in (101, 103):
         psi_divisor_dependent(2, p)
         psi_divisor_free(2, p)
-    for cache in (charsum._power_table, charsum._character_weights):
-        info = cache.cache_info()
-        assert info.maxsize == info.currsize == 1
+    info = charsum._power_table.cache_info()
+    assert info.maxsize == info.currsize == 1
     _, powers = charsum._power_table(103, None)
     assert isinstance(powers, np.ndarray) and powers.dtype == np.int64
     assert powers.nbytes == 8 * (103 - 1)
+
+
+def _psi_oracle(p):
+    """psi_divisor_dependent's raw at every u mod p, in pure-Python cmath.
+
+    Sums all p-1 characters, the mu(d) = 0 orders included, from a
+    brute-force primitive root and discrete log.
+    """
+    n = p - 1
+    tau = next(g for g in range(1, p) if len({pow(g, k, p) for k in range(n)}) == n)
+    log = {pow(tau, k, p): k for k in range(n)}
+
+    def phi(d):
+        return sum(1 for t in range(1, d + 1) if math.gcd(t, d) == 1)
+
+    def mu(d):
+        sign = 1
+        for ell in range(2, d + 1):
+            if d % ell == 0:
+                d //= ell
+                if d % ell == 0:
+                    return 0
+                sign = -sign
+        return sign
+
+    raw = {}
+    for u, m in log.items():
+        total = 0j
+        for d in range(1, n + 1):
+            if n % d == 0:
+                total += mu(d) / phi(d) * sum(cmath.exp(2j * cmath.pi * (m * t % d) / d)
+                                              for t in range(1, d + 1) if math.gcd(t, d) == 1)
+        raw[u] = phi(n) / n * total
+    return raw
+
+
+def test_psi_divisor_dependent_raw_matches_full_character_sum_to_100():
+    for p in sieve_primes(100):
+        for u, expected in _psi_oracle(p).items():
+            assert abs(psi_divisor_dependent(u, p).raw - expected) <= 1e-12, (u, p)
+
+
+def test_psi_divisor_dependent_at_five_prime_factors():
+    # p - 1 = 2*3*5*7*11 has 32 squarefree divisors; criterion 1 stops at 200.
+    p = 2311
+    assert factor(p - 1).factors == ((2, 1), (3, 1), (5, 1), (7, 1), (11, 1))
+    for u in range(1, p):
+        assert psi_divisor_dependent(u, p).value == is_primitive_root_prime(u, p), u
+
+
+# Runs one CLI argv and prints the process's own /proc/self/status to stderr.
+_CHILD = """import sys
+from primroots.cli import run
+code = run(sys.argv[1:])
+print(open("/proc/self/status").read(), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("method", ("divisor", "free"))
+def test_psi_at_the_table_ceiling_peaks_under_512_mb(method):
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("the process's own peak is read from /proc/self/status")
+    p = 16777213  # the largest prime below TABLE_LIMIT = 2^24
+    src = os.path.dirname(os.path.dirname(primroots.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run(
+        [sys.executable, "-c", _CHILD, "psi", "--u", "2", "--p", str(p), "--method", method],
+        capture_output=True, text=True, env=env, check=True)
+    rows = list(csv.DictReader(done.stdout.splitlines()))
+    assert [(r["p"], r["value"]) for r in rows] == [(str(p), "0")]
+    peak_kb = int(re.search(r"VmHWM:\s*(\d+) kB", done.stderr).group(1))
+    assert peak_kb < 512 * 1024, f"{peak_kb} kB"
 
 
 def test_literal_mode_is_capped():
