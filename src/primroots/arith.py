@@ -8,9 +8,6 @@ instead of silently degrading, so the bound is honest.
 import math
 import sys
 
-import numpy as np
-from numpy.polynomial.legendre import leggauss
-
 NATURAL_MAX = 2**63 - 1
 
 
@@ -77,8 +74,24 @@ def is_perfect_square(n: int) -> bool:
     return r * r == n
 
 
-# 20-point Gauss-Legendre nodes and weights on [-1, 1].
-_GL_NODES, _GL_WEIGHTS = leggauss(20)
+# 20-point Gauss-Legendre nodes and weights on [-1, 1]: numpy's
+# leggauss(20), written out so that no call imports numpy.polynomial.
+_GL_NODES = (
+    -0.993128599185095, -0.9639719272779138, -0.912234428251326, -0.8391169718222188,
+    -0.7463319064601508, -0.636053680726515, -0.5108670019508271, -0.37370608871541955,
+    -0.22778585114164507, -0.07652652113349734, 0.07652652113349734,
+    0.22778585114164507, 0.37370608871541955, 0.5108670019508271, 0.636053680726515,
+    0.7463319064601508, 0.8391169718222188, 0.912234428251326, 0.9639719272779138,
+    0.993128599185095,
+)
+_GL_WEIGHTS = (
+    0.017614007139150893, 0.040601429800386446, 0.06267204833410879,
+    0.08327674157670471, 0.1019301198172407, 0.1181945319615186, 0.1316886384491769,
+    0.1420961093183824, 0.14917298647260424, 0.15275338713072628, 0.15275338713072628,
+    0.14917298647260424, 0.1420961093183824, 0.1316886384491769, 0.1181945319615186,
+    0.1019301198172407, 0.08327674157670471, 0.06267204833410879, 0.040601429800386446,
+    0.017614007139150893,
+)
 
 
 def log_integral(x: float) -> float:
@@ -99,8 +112,10 @@ def log_integral(x: float) -> float:
         raise DomainError(f"log_integral requires x >= 2, got {x}")
     if x == math.inf:
         raise DomainError(f"log_integral requires a finite x, got {x}")
+    import numpy as np
+
     width = math.log(x / 2.0)
     panels = max(1, math.ceil(width))
     h = width / panels
-    y = math.log(2.0) + h * (np.arange(panels)[:, None] + 0.5 * (_GL_NODES + 1.0))
-    return math.fsum((0.5 * h * _GL_WEIGHTS * np.exp(y) / y).ravel().tolist())
+    y = math.log(2.0) + h * (np.arange(panels)[:, None] + 0.5 * (np.array(_GL_NODES) + 1.0))
+    return math.fsum((0.5 * h * np.array(_GL_WEIGHTS) * np.exp(y) / y).ravel().tolist())

@@ -6,13 +6,11 @@ plain Artin constant as the reference and expose density / a1 as the
 measured estimate of c(q).
 """
 
+import concurrent.futures
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-
-import numpy as np
 
 from .arith import DomainError, check_natural, is_perfect_square
 from .factorize import check_sieve_limit, distinct_prime_factors, is_prime, primes_upto
@@ -92,7 +90,7 @@ def artin_constant(cutoff: int) -> ArtinConstant:
         raise DomainError(f"cutoff must be >= 2, got {cutoff}")
     primes = primes_upto(cutoff)
     # Sequential float64 product in ascending p, as a plain loop would take it.
-    value = float(np.cumprod(1.0 - 1.0 / (primes * (primes - 1)))[-1])
+    value = float((1.0 - 1.0 / (primes * (primes - 1))).cumprod()[-1])
     return ArtinConstant(truncation=cutoff, value=value,
                          tail_bound=1.0 / cutoff)
 
@@ -123,7 +121,7 @@ def prime_counts(q: int, x: int) -> DensityReport:
         raise DomainError(f"x must be >= 3, got {x}")
     primes = primes_upto(x)
     odd = primes[1:]
-    pi_q = int(np.count_nonzero(primitive_root_mask(q, odd, distinct_prime_factors(odd - 1))))
+    pi_q = int(primitive_root_mask(q, odd, distinct_prime_factors(odd - 1)).sum())
     return DensityReport(q=q, x=x, pi_x=len(primes), pi_q_x=pi_q,
                          density=pi_q / len(primes),
                          artin_reference=reference_artin_constant())
@@ -200,7 +198,9 @@ def conjecture_scan(qmin: int, qmax: int, cap: int = DEFAULT_SCAN_CAP,
               for lo in range(qmin, qmax + 1, chunk)]
     threads = min(threads, len(bounds))
     records = []
-    with ProcessPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+    # concurrent.futures imports its process module when the pool class is first read.
+    with (concurrent.futures.ProcessPoolExecutor(max_workers=threads) if threads > 1
+          else nullcontext()) as pool:
         parts = pool.map(_scan_chunk, bounds) if pool else map(_scan_chunk, bounds)
         for i, part in enumerate(parts):
             records.extend(part)

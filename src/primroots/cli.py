@@ -15,7 +15,7 @@ import sys
 from collections import namedtuple
 from contextlib import redirect_stdout
 
-from . import artin, charsum, special_primes
+from . import artin, special_primes
 from .arith import DomainError
 from .primroot import is_primitive_root_prime, lift_primitive_root, multiplicative_order
 
@@ -141,6 +141,8 @@ def _cmd_k2n(args):
                        "help": "evaluate every complex exponential (free method)"})],
          "u p method value raw_re raw_im residual")
 def _cmd_psi(args):
+    from . import charsum
+
     if args.method == "divisor":
         res = charsum.psi_divisor_dependent(args.u, args.p)
     else:
@@ -151,6 +153,8 @@ def _cmd_psi(args):
 @command("interval", "main/error decomposition over [z, 2z]", ["z", "q"],
          "z q psi_sum trivial_term error_term li_prediction")
 def _cmd_interval(args):
+    from . import charsum
+
     d = charsum.decompose_interval(args.z, args.q)
     return [(d.z, d.q, d.psi_sum, d.trivial_term, d.error_term, d.li_prediction)]
 

@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .arith import DomainError, check_natural
 
 # Largest value the SPF table covers: 2 bytes per entry, 200 MB at the
@@ -33,10 +31,11 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # spf[n] is the least prime factor of a composite n < len(spf), and 0 for a
 # prime (and for 0 and 1). A composite n <= SIEVE_LIMIT has one at most
-# sqrt(SIEVE_LIMIT), so 2 bytes per entry suffice.
+# sqrt(SIEVE_LIMIT), so 2 bytes per entry suffice. Both arrays are None
+# until the first call that needs them.
 assert math.isqrt(SIEVE_LIMIT) < 2**16
-_spf = np.zeros(2, dtype=np.uint16)
-_primes = np.zeros(0, dtype=np.int64)
+_spf = None
+_primes = None
 
 
 def check_sieve_limit(limit: int, name: str = "limit") -> int:
@@ -48,10 +47,13 @@ def check_sieve_limit(limit: int, name: str = "limit") -> int:
 
 
 def _spf_upto(limit):
-    """The SPF table, rebuilt to cover ``limit`` if it does not yet."""
+    """The SPF table, built or rebuilt to cover ``limit`` if it does not yet."""
+    import numpy as np
+
     global _spf, _primes
-    if limit >= len(_spf):
-        n = min(SIEVE_LIMIT, max(limit, 2 * (len(_spf) - 1)))
+    size = 0 if _spf is None else len(_spf)
+    if limit >= size:
+        n = min(SIEVE_LIMIT, max(limit, 2, 2 * (size - 1)))
         spf = np.zeros(n + 1, dtype=np.uint16)
         for p in range(2, math.isqrt(n) + 1):
             if spf[p] == 0:
@@ -61,22 +63,24 @@ def _spf_upto(limit):
     return _spf
 
 
-def primes_upto(limit: int) -> np.ndarray:
+def primes_upto(limit: int):
     """All primes <= limit, ascending, as an int64 array (a read-only view)."""
     check_sieve_limit(limit)
     _spf_upto(limit)
-    view = _primes[: np.searchsorted(_primes, limit, side="right")]
+    view = _primes[: _primes.searchsorted(limit, side="right")]
     view.flags.writeable = False
     return view
 
 
-def distinct_prime_factors(values: np.ndarray) -> np.ndarray:
+def distinct_prime_factors(values):
     """Distinct prime factors of each value, read from the SPF table.
 
     Returns rows of shape (k, len(values)), k the largest omega among the
     values: column j lists the primes of values[j] in ascending order and
     is padded with 1. Every value must lie in [1, SIEVE_LIMIT].
     """
+    import numpy as np
+
     m = np.array(values, dtype=np.int64)
     if m.size and (m.min() < 1 or m.max() > SIEVE_LIMIT):
         raise DomainError(f"values must lie in [1, {SIEVE_LIMIT}]")
@@ -99,8 +103,10 @@ def distinct_prime_factors(values: np.ndarray) -> np.ndarray:
     return np.array(rows, dtype=np.int64).reshape(len(rows), m.size)
 
 
-def totients(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def totients(values, rows):
     """Euler phi of each value, exactly in int64, from its factor rows."""
+    import numpy as np
+
     phi = np.array(values, dtype=np.int64)
     for ell in rows:
         phi -= np.where(ell > 1, phi // ell, 0)
@@ -124,6 +130,13 @@ class Factorization:
         for p, e in self.factors:
             out *= p**e
         return out
+
+
+def _check_factorization(f):
+    """Refuse anything but a Factorization, as ``factor`` returns it."""
+    if not isinstance(f, Factorization):
+        raise DomainError(f"f must be a Factorization, got {type(f).__name__}")
+    return f
 
 
 @lru_cache(maxsize=65536)
@@ -219,7 +232,7 @@ def factor(n: int) -> Factorization:
 def euler_phi(f: Factorization) -> int:
     """Euler totient from the decomposition: prod p^(e-1) * (p-1)."""
     out = 1
-    for p, e in f.factors:
+    for p, e in _check_factorization(f).factors:
         out *= p ** (e - 1) * (p - 1)
     return out
 
@@ -231,7 +244,7 @@ def carmichael_lambda(f: Factorization) -> int:
     v >= 3. lambda(1) = lambda(2) = 1.
     """
     out = 1
-    for p, e in f.factors:
+    for p, e in _check_factorization(f).factors:
         if p == 2 and e >= 3:
             block = 2 ** (e - 2)
         else:
@@ -242,12 +255,12 @@ def carmichael_lambda(f: Factorization) -> int:
 
 def omega(f: Factorization) -> int:
     """Number of distinct prime divisors."""
-    return len(f.factors)
+    return len(_check_factorization(f).factors)
 
 
 def mobius(f: Factorization) -> int:
     """Mobius function: 0 unless squarefree, else (-1)^omega."""
-    for _, e in f.factors:
+    for _, e in _check_factorization(f).factors:
         if e > 1:
             return 0
     return -1 if len(f.factors) % 2 else 1

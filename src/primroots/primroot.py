@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd as _gcd, isqrt
 
-import numpy as np
-
 from .arith import DomainError, check_natural
 from .factorize import SIEVE_LIMIT, carmichael_lambda, factor, is_prime
 
@@ -103,7 +101,7 @@ def is_primitive_root_prime(u: int, p: int) -> bool:
     return _passes(u, p, _test_exponents(p - 1))
 
 
-def primitive_root_mask(q: int, primes: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def primitive_root_mask(q: int, primes, rows):
     """The F_p test for one base q over an array of primes.
 
     ``rows`` holds the distinct primes of each p - 1 (as returned by
@@ -112,6 +110,8 @@ def primitive_root_mask(q: int, primes: np.ndarray, rows: np.ndarray) -> np.ndar
     all (p, l) pairs at once; it is False where p divides q. The primes are
     trusted: callers pass sieved primes, at most SIEVE_LIMIT.
     """
+    import numpy as np
+
     check_natural(q, "q")
     if primes.size and primes.max() > SIEVE_LIMIT:
         raise DomainError(f"primes past SIEVE_LIMIT = {SIEVE_LIMIT} would overflow int64")

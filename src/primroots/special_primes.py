@@ -10,8 +10,6 @@ versus the generic test's omega(p-1) exponentiations.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .arith import NATURAL_MAX, DomainError, check_natural, jacobi
 from .factorize import is_prime, primes_upto
 
@@ -60,6 +58,8 @@ def germain_decompose(p: int):
 def germain_forms(limit: int) -> tuple:
     """germain_decompose for every prime p <= limit, read from the sieve: arrays
     (p, s, r) of the p whose odd part r of p - 1 is in primes_upto(limit)."""
+    import numpy as np
+
     primes = primes_upto(limit)
     two_power = (primes - 1) & (1 - primes)  # the largest power of 2 dividing p - 1
     r = (primes - 1) // two_power

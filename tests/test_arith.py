@@ -1,7 +1,9 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from primroots import arith
 from primroots.arith import (
@@ -122,6 +124,12 @@ def test_is_perfect_square():
 
 def test_log_integral_base_point():
     assert log_integral(2) == 0.0
+
+
+def test_gauss_legendre_literals_are_leggauss_bit_for_bit():
+    nodes, weights = leggauss(20)
+    assert np.array(arith._GL_NODES).tobytes() == nodes.tobytes()
+    assert np.array(arith._GL_WEIGHTS).tobytes() == weights.tobytes()
 
 
 def test_log_integral_against_quadrature_oracle():

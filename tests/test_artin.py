@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 
 import numpy as np
@@ -240,7 +241,7 @@ class _RecordingPool:
 
 
 def test_scan_workers_clamped(monkeypatch):
-    monkeypatch.setattr(artin, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "workers", [])
     monkeypatch.setattr(artin.os, "cpu_count", lambda: 3)
     assert conjecture_scan(2, 400, threads=64) == conjecture_scan(2, 400)

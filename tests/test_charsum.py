@@ -3,13 +3,10 @@ import csv
 import math
 import os
 import re
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-import primroots
 from primroots import DomainError, charsum
 from primroots.arith import log_integral
 from primroots.artin import reference_artin_constant
@@ -169,16 +166,12 @@ sys.exit(code)
 
 
 @pytest.mark.parametrize("method", ("divisor", "free"))
-def test_psi_at_the_table_ceiling_peaks_under_512_mb(method):
+def test_psi_at_the_table_ceiling_peaks_under_512_mb(method, fresh_python):
     if not os.path.exists("/proc/self/status"):
         pytest.skip("the process's own peak is read from /proc/self/status")
     p = 16777213  # the largest prime below TABLE_LIMIT = 2^24
-    src = os.path.dirname(os.path.dirname(primroots.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    done = subprocess.run(
-        [sys.executable, "-c", _CHILD, "psi", "--u", "2", "--p", str(p), "--method", method],
-        capture_output=True, text=True, env=env, check=True)
+    done = fresh_python("-c", _CHILD, "psi", "--u", "2", "--p", str(p), "--method", method,
+                        text=True)
     rows = list(csv.DictReader(done.stdout.splitlines()))
     assert [(r["p"], r["value"]) for r in rows] == [(str(p), "0")]
     peak_kb = int(re.search(r"VmHWM:\s*(\d+) kB", done.stderr).group(1))

@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import csv
 import io
@@ -176,12 +177,12 @@ def test_least_prime_exhausted_row(capsys):
 ], ids=["density-x", "interval-z", "germain-limit", "artin-cutoff",
         "least-prime-cap", "scan-cap"])
 def test_table_sizes_past_the_ceiling_are_refused(argv, capsys):
-    table_size = len(factorize._spf)
+    table = factorize._spf  # None until a call first needs the table
     assert run(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"SIEVE_LIMIT = {SIEVE_LIMIT}" in captured.err
-    assert len(factorize._spf) == table_size  # refused before the table grew
+    assert factorize._spf is table  # refused before the table was built or grew
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -214,7 +215,7 @@ def test_scan_checks_cap_before_any_base_or_fork(monkeypatch, capsys):
     def no_fork(max_workers):
         raise AssertionError("worker pool started before the cap was checked")
 
-    monkeypatch.setattr(artin, "ProcessPoolExecutor", no_fork)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_fork)
     monkeypatch.setattr(artin.os, "cpu_count", lambda: 2)
     with pytest.raises(DomainError, match="cap must be >= 3, got 2"):
         artin.conjecture_scan(2, 400, cap=2, threads=2)

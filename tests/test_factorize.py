@@ -200,6 +200,14 @@ def test_mobius_small_values():
         assert mobius(factor(n)) == mu
 
 
+@pytest.mark.parametrize("fn", (euler_phi, carmichael_lambda, omega, mobius))
+@pytest.mark.parametrize("arg, name", ((5, "int"), (None, "NoneType"), ("7", "str")))
+def test_factorization_functions_refuse_anything_else(fn, arg, name):
+    with pytest.raises(DomainError) as excinfo:
+        fn(arg)
+    assert str(excinfo.value) == f"f must be a Factorization, got {name}"
+
+
 def test_factorization_is_frozen():
     f = factor(12)
     with pytest.raises(AttributeError):
