@@ -6,7 +6,6 @@ plain Artin constant as the reference and expose density / a1 as the
 measured estimate of c(q).
 """
 
-import concurrent.futures
 import math
 import os
 from contextlib import nullcontext
@@ -198,7 +197,8 @@ def conjecture_scan(qmin: int, qmax: int, cap: int = DEFAULT_SCAN_CAP,
               for lo in range(qmin, qmax + 1, chunk)]
     threads = min(threads, len(bounds))
     records = []
-    # concurrent.futures imports its process module when the pool class is first read.
+    if threads > 1:
+        import concurrent.futures
     with (concurrent.futures.ProcessPoolExecutor(max_workers=threads) if threads > 1
           else nullcontext()) as pool:
         parts = pool.map(_scan_chunk, bounds) if pool else map(_scan_chunk, bounds)

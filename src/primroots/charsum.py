@@ -17,8 +17,8 @@ import numpy as np
 
 from .arith import DomainError, check_natural, log_integral
 from .artin import _check_base, reference_artin_constant
-from .factorize import (check_sieve_limit, distinct_prime_factors, euler_phi, factor,
-                        primes_upto, totients)
+from .factorize import (check_sieve_limit, distinct_prime_factors, factor, primes_upto,
+                        totients)
 from .primroot import (_passes, _require_prime, _test_exponents, least_primitive_root,
                        primitive_root_mask)
 
@@ -66,10 +66,12 @@ class IntervalDecomposition:
     li_prediction: float
 
 
-def _require_desk_scale_prime(p):
+def _require_desk_scale_prime(p, tau):
     _require_prime(p)
     if p > TABLE_LIMIT:
         raise DomainError(f"p = {p} exceeds the desk-scale table limit {TABLE_LIMIT}")
+    if tau is not None:
+        check_natural(tau, "tau")  # before _power_table hashes or reduces it
 
 
 @lru_cache(maxsize=1)
@@ -78,18 +80,22 @@ def _power_table(p, tau=None):
 
     tau defaults to the least primitive root; an explicit tau (the
     verification hook) is refused unless it is a primitive root mod p.
-    The int64 table is built by doubling: each step appends the table so far
-    times tau^len.
+    The int64 table is filled in place by doubling: each step writes the
+    entries so far times tau^size into the next block, so no step copies it.
     """
     if tau is None:
         tau = least_primitive_root(p)
-    elif tau % p == 0 or not _passes(check_natural(tau % p, "tau"), p, _test_exponents(p - 1)):
+    elif tau % p == 0 or not _passes(tau % p, p, _test_exponents(p - 1)):
         raise DomainError(f"tau = {tau} is not a primitive root mod {p}")
     tau %= p
-    powers = np.ones(1, dtype=np.int64)
-    while len(powers) < p - 1:
-        powers = np.concatenate((powers, powers * pow(tau, len(powers), p) % p))
-    return tau, powers[: p - 1]
+    powers = np.empty(p - 1, dtype=np.int64)
+    powers[0] = size = 1
+    while size < p - 1:
+        block = powers[size : 2 * size]
+        np.multiply(powers[: len(block)], pow(tau, size, p), out=block)
+        block %= p
+        size += len(block)
+    return tau, powers
 
 
 def _finish(p, u, method, raw):
@@ -108,30 +114,25 @@ def psi_divisor_dependent(u: int, p: int, tau: int = None) -> PsiEvaluation:
     """Divisor-dependent indicator: (phi(p-1)/(p-1)) times the character sum
     over divisors d | p-1, each order-d character weighted mu(d)/phi(d).
 
-    Only squarefree d carry weight, so the sum runs one squarefree divisor
-    at a time over its phi(d) characters, evaluated at u through the
-    discrete log; phases are reduced exactly in integers before
-    exponentiation so the accumulator error stays at machine scale.
+    With u = tau^m it is evaluated as the product over primes ell | p-1 of
+    (1 - 1/ell)(1 - S_ell(m)/(ell-1)), S_ell(m) = sum_{0<a<ell} e^(2 pi i m a/ell):
+    mu(d)/phi(d) is multiplicative and, by the Chinese remainder theorem, each
+    order-d character is a product of characters of the prime orders ell | d.
+    Phases are reduced exactly in integers, so the error stays at machine scale.
     """
     check_natural(u, "u")
-    _require_desk_scale_prime(p)
+    _require_desk_scale_prime(p, tau)
     u %= p
     if u == 0:
         raise DomainError("u = 0 mod p has no discrete log")
     _, powers = _power_table(p, tau)
     m = int(np.argmax(powers == u))  # the discrete log: tau^m = u
-    f = factor(p - 1)
-    # (d, mu(d), phi(d)) for every squarefree d | p-1, by subset products.
-    divisors = [(1, 1, 1)]
-    for ell, _ in f.factors:
-        divisors += [(d * ell, -mu, phi * (ell - 1)) for d, mu, phi in divisors]
-    raw = 0j
-    for d, mu, phi in divisors:
-        # The characters of order d send tau^m to e^(2 pi i m t / d), gcd(t, d) = 1.
-        t = np.arange(1, d + 1, dtype=np.int64)
-        phases = m * t[np.gcd(t, d) == 1] % d
-        raw += mu / phi * np.exp((2j * np.pi) * (phases / d)).sum()
-    return _finish(p, u, "divisor-dependent", euler_phi(f) / (p - 1) * raw)
+    raw = 1 + 0j
+    for ell, _ in factor(p - 1).factors:
+        phases = m * np.arange(1, ell, dtype=np.int64) % ell
+        s = np.exp((2j * np.pi) * (phases / ell)).sum()
+        raw *= (1 - 1 / ell) * (1 - s / (ell - 1))
+    return _finish(p, u, "divisor-dependent", raw)
 
 
 def psi_divisor_free(u: int, p: int, literal: bool = False,
@@ -145,19 +146,21 @@ def psi_divisor_free(u: int, p: int, literal: bool = False,
     cost) and lets the residual audit the cancellation.
     """
     check_natural(u, "u")
-    _require_desk_scale_prime(p)
+    if not isinstance(literal, bool):
+        raise DomainError(f"literal must be a bool, got {type(literal).__name__}")
+    _require_desk_scale_prime(p, tau)
     u %= p
     if u == 0:
         raise DomainError("u = 0 mod p is excluded")
     if literal and p > LITERAL_LIMIT:
         raise DomainError(f"literal mode is capped at p <= {LITERAL_LIMIT}")
     _, powers = _power_table(p, tau)
-    # tau^n for each n in [1, p-1] coprime to p-1, in ascending n: strike
-    # the multiples of each prime factor of p-1 (n sits at index n-1).
+    # tau^n for each n in [1, p-1] coprime to p-1, in ascending n: n sits at
+    # index n mod p-1, and n = p-1 at index 0 is struck for every p >= 3.
     coprime = np.ones(p - 1, dtype=bool)
     for ell, _ in factor(p - 1).factors:
-        coprime[ell - 1 :: ell] = False
-    coprime_powers = np.roll(powers, -1)[coprime]
+        coprime[::ell] = False
+    coprime_powers = powers[coprime]
     if not literal:
         hits = int(np.count_nonzero(coprime_powers == u))
         return _finish(p, u, "divisor-free", complex(hits))

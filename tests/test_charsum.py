@@ -1,14 +1,16 @@
 import cmath
 import csv
+import json
 import math
 import os
+import random
 import re
 
 import numpy as np
 import pytest
 
 from primroots import DomainError, charsum
-from primroots.arith import log_integral
+from primroots.arith import jacobi, log_integral
 from primroots.artin import reference_artin_constant
 from primroots.charsum import (
     LITERAL_LIMIT,
@@ -18,7 +20,8 @@ from primroots.charsum import (
     psi_divisor_free,
 )
 from primroots.factorize import SIEVE_LIMIT, euler_phi, factor
-from primroots.primroot import is_primitive_root_prime, multiplicative_order
+from primroots.primroot import (is_primitive_root_prime, least_primitive_root,
+                                multiplicative_order)
 from primroots.special_primes import sieve_primes
 
 
@@ -148,6 +151,15 @@ def test_psi_divisor_dependent_raw_matches_full_character_sum_to_100():
             assert abs(psi_divisor_dependent(u, p).raw - expected) <= 1e-12, (u, p)
 
 
+def test_psi_divisor_dependent_is_exactly_zero_at_quadratic_residues():
+    # u = tau^m with m even: the factor at ell = 2 is (1 - 1/2)(1 - e^0/1) = 0.
+    for p in sieve_primes(100)[1:]:
+        for u in range(1, p):
+            if jacobi(u, p) == 1:
+                ev = psi_divisor_dependent(u, p)
+                assert ev.raw == 0 and ev.residual == 0.0, (u, p, ev.raw)
+
+
 def test_psi_divisor_dependent_at_five_prime_factors():
     # p - 1 = 2*3*5*7*11 has 32 squarefree divisors; criterion 1 stops at 200.
     p = 2311
@@ -165,17 +177,39 @@ sys.exit(code)
 """
 
 
+CEILING_PRIME = 16777213  # the largest prime below TABLE_LIMIT = 2^24
+
+
 @pytest.mark.parametrize("method", ("divisor", "free"))
-def test_psi_at_the_table_ceiling_peaks_under_512_mb(method, fresh_python):
+def test_psi_at_the_table_ceiling_peaks_under_256_mb(method, fresh_python):
     if not os.path.exists("/proc/self/status"):
         pytest.skip("the process's own peak is read from /proc/self/status")
-    p = 16777213  # the largest prime below TABLE_LIMIT = 2^24
+    p = CEILING_PRIME
     done = fresh_python("-c", _CHILD, "psi", "--u", "2", "--p", str(p), "--method", method,
                         text=True)
     rows = list(csv.DictReader(done.stdout.splitlines()))
     assert [(r["p"], r["value"]) for r in rows] == [(str(p), "0")]
     peak_kb = int(re.search(r"VmHWM:\s*(\d+) kB", done.stderr).group(1))
-    assert peak_kb < 512 * 1024, f"{peak_kb} kB"
+    assert peak_kb < 256 * 1024, f"{peak_kb} kB"
+
+
+# Builds the power table at argv[1] and prints tau, its length and the
+# entries at the given indices as JSON.
+_TABLE_CHILD = """import json, sys
+from primroots import charsum
+tau, powers = charsum._power_table(int(sys.argv[1]))
+print(json.dumps([tau, len(powers), [int(powers[i]) for i in map(int, sys.argv[2:])]]))
+"""
+
+
+def test_power_table_at_the_ceiling_matches_pow(fresh_python):
+    # In a fresh process, so the 134 MB table does not stay in this process's cache.
+    p = CEILING_PRIME
+    indices = sorted(random.Random(17).sample(range(p - 1), 200)) + [0, 1, p - 2]
+    done = fresh_python("-c", _TABLE_CHILD, str(p), *map(str, indices))
+    tau, size, entries = json.loads(done.stdout)
+    assert tau == least_primitive_root(p) and size == p - 1
+    assert entries == [pow(tau, i, p) for i in indices]
 
 
 def test_literal_mode_is_capped():

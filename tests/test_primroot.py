@@ -239,6 +239,18 @@ REFUSALS = [
                  id="psi-free-tau"),
     pytest.param(psi_divisor_free, (2, -7), "p must be nonnegative, got -7",
                  id="psi-free-negative"),
+    pytest.param(psi_divisor_dependent, (2, 101, "3"), "tau must be an integer, got str",
+                 id="psi-dep-str-tau"),
+    pytest.param(psi_divisor_dependent, (2, 101, [2]), "tau must be an integer, got list",
+                 id="psi-dep-list-tau"),
+    pytest.param(psi_divisor_dependent, (2, 11, -9), "tau must be nonnegative, got -9",
+                 id="psi-dep-negative-tau"),
+    pytest.param(psi_divisor_free, (2, 101, False, "3"), "tau must be an integer, got str",
+                 id="psi-free-str-tau"),
+    pytest.param(psi_divisor_free, (2, 5, "yes"), "literal must be a bool, got str",
+                 id="psi-free-str-literal"),
+    pytest.param(psi_divisor_free, (2, 5, 1), "literal must be a bool, got int",
+                 id="psi-free-int-literal"),
 ]
 
 

@@ -2,9 +2,10 @@
 
 Only ``charsum`` imports numpy at the top; every other module imports it
 inside the functions that build arrays. So ``import primroots``,
-``import primroots.cli`` and the scalar subcommands load no numpy, and the
-array functions give the same bits whether they run cold, as the first call
-of a fresh process with no prime table, or warm.
+``import primroots.cli`` and the scalar subcommands load neither numpy nor
+``concurrent.futures`` (which ``conjecture_scan`` imports for its workers),
+and the array functions give the same bits whether they run cold, as the
+first call of a fresh process with no prime table, or warm.
 """
 
 import json
@@ -20,7 +21,7 @@ from primroots import arith, artin, charsum, factorize, primroot, special_primes
 
 SCALAR_COMMANDS = ("order", "is-primroot", "lift", "germain-test", "fermat-test", "k2n",
                    "least-prime")
-NOT_LOADED = ("numpy", "numpy.polynomial", "concurrent.futures.process")
+NOT_LOADED = ("numpy", "numpy.polynomial", "concurrent.futures", "logging")
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
 
