@@ -20,7 +20,10 @@ DEFAULT_SCAN_CAP = 10**5
 # A scan holds its rows in memory, about 440 bytes a base: 10^6 bases is
 # about 0.45 GB and 15 s of CPU on one core.
 SCAN_SPAN_LIMIT = 10**6
-_REFERENCE_CUTOFF = 10**6
+# The range counters test this many primes at a time, and charsum sums this
+# many terms of a character sum at a time, so their peak memory is that of
+# the table they read plus a fixed amount, however wide the range.
+_BLOCK = 1 << 16
 
 # Below e^e the (log log q)^3 factor is <= 1 and the conjectured bound is
 # degenerate; rows for q < 16 carry the raw least prime and no ratio.
@@ -95,8 +98,10 @@ def artin_constant(cutoff: int) -> ArtinConstant:
 
 
 def reference_artin_constant() -> float:
-    """a1 at the default desk-scale truncation (good to ~1e-7)."""
-    return artin_constant(_REFERENCE_CUTOFF).value
+    """a1 at the default desk-scale truncation, artin_constant(10**6).value
+    (good to ~1e-7). It is a literal, so a small count builds no 10^6-entry
+    table; a test keeps the two equal."""
+    return 0.37395583896432805
 
 
 def _check_base(q):
@@ -118,12 +123,23 @@ def prime_counts(q: int, x: int) -> DensityReport:
     check_sieve_limit(x, "x")
     if x < 3:
         raise DomainError(f"x must be >= 3, got {x}")
-    primes = primes_upto(x)
-    odd = primes[1:]
-    pi_q = int(primitive_root_mask(q, odd, distinct_prime_factors(odd - 1)).sum())
-    return DensityReport(q=q, x=x, pi_x=len(primes), pi_q_x=pi_q,
-                         density=pi_q / len(primes),
+    pi_x = len(primes_upto(x))
+    pi_q = sum(int(mask.sum()) for _, _, mask in _prime_blocks(q, 3, x))
+    return DensityReport(q=q, x=x, pi_x=pi_x, pi_q_x=pi_q, density=pi_q / pi_x,
                          artin_reference=reference_artin_constant())
+
+
+def _prime_blocks(q, lo, hi):
+    """(primes, rows, mask) for the primes in [lo, hi] that do not divide q,
+    in ascending blocks of _BLOCK primes: rows are the distinct prime factors
+    of each p - 1, and mask marks the p with q as a primitive root."""
+    primes = primes_upto(hi)
+    primes = primes[primes.searchsorted(lo):]
+    for start in range(0, len(primes), _BLOCK):
+        block = primes[start : start + _BLOCK]
+        block = block[q % block != 0]
+        rows = distinct_prime_factors(block - 1)
+        yield block, rows, primitive_root_mask(q, block, rows)
 
 
 def least_prime_with_primitive_root(q: int, cap: int = DEFAULT_SCAN_CAP):

@@ -16,11 +16,9 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import DomainError, check_natural, log_integral
-from .artin import _check_base, reference_artin_constant
-from .factorize import (check_sieve_limit, distinct_prime_factors, factor, primes_upto,
-                        totients)
-from .primroot import (_passes, _require_prime, _test_exponents, least_primitive_root,
-                       primitive_root_mask)
+from .artin import _BLOCK, _check_base, _prime_blocks, reference_artin_constant
+from .factorize import check_sieve_limit, factor, totients
+from .primroot import _passes, _require_prime, _test_exponents, least_primitive_root
 
 ROUNDING_TOLERANCE = 1e-6
 
@@ -129,8 +127,10 @@ def psi_divisor_dependent(u: int, p: int, tau: int = None) -> PsiEvaluation:
     m = int(np.argmax(powers == u))  # the discrete log: tau^m = u
     raw = 1 + 0j
     for ell, _ in factor(p - 1).factors:
-        phases = m * np.arange(1, ell, dtype=np.int64) % ell
-        s = np.exp((2j * np.pi) * (phases / ell)).sum()
+        s = 0j  # summed over blocks of a, so no temporary is ell-sized
+        for a in range(1, ell, _BLOCK):
+            phases = m * np.arange(a, min(a + _BLOCK, ell), dtype=np.int64) % ell
+            s += np.exp((2j * np.pi) * (phases / ell)).sum()
         raw *= (1 - 1 / ell) * (1 - s / (ell - 1))
     return _finish(p, u, "divisor-dependent", raw)
 
@@ -191,14 +191,13 @@ def decompose_interval(z: int, q: int) -> IntervalDecomposition:
     if z < 3:
         raise DomainError(f"z must be >= 3, got {z}")
     check_sieve_limit(2 * z, "2z")
-    primes = primes_upto(2 * z)
-    primes = primes[np.searchsorted(primes, z):]
-    primes = primes[q % primes != 0]
-    rows = distinct_prime_factors(primes - 1)
-    psi_sum = int(np.count_nonzero(primitive_root_mask(q, primes, rows)))
-    # Sequential float64 sum in ascending p: np.sum would add pairwise.
-    shares = totients(primes - 1, rows) / primes
-    trivial = float(np.cumsum(shares)[-1]) if shares.size else 0.0
+    psi_sum, trivial = 0, 0.0
+    for primes, rows, mask in _prime_blocks(q, z, 2 * z):
+        psi_sum += int(np.count_nonzero(mask))
+        # Sequential float64 sum in ascending p, carried across blocks:
+        # np.sum would add pairwise.
+        shares = totients(primes - 1, rows) / primes
+        trivial = float(np.cumsum(np.append(trivial, shares))[-1])
     li_pred = reference_artin_constant() * (log_integral(2 * z) - log_integral(z))
     return IntervalDecomposition(z=z, q=q, psi_sum=psi_sum,
                                  trivial_term=trivial,

@@ -3,6 +3,7 @@
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 
@@ -36,4 +37,27 @@ def fresh_python():
     def run(*args, **kwargs):
         return subprocess.run([sys.executable, *args], capture_output=True, env=env,
                               check=True, **kwargs)
+    return run
+
+
+# Runs one CLI argv and prints the process's own /proc/self/status to stderr.
+_CLI_CHILD = """import sys
+from primroots.cli import run
+code = run(sys.argv[1:])
+print(open("/proc/self/status").read(), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.fixture(scope="session")
+def cli_peak(fresh_python):
+    """A function running one CLI argv in a fresh process; it returns the
+    stdout and the process's own peak resident size (VmHWM) in kB. Skips
+    where /proc/self/status does not exist."""
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("the process's own peak is read from /proc/self/status")
+
+    def run(*argv):
+        done = fresh_python("-c", _CLI_CHILD, *argv, text=True)
+        return done.stdout, int(re.search(r"VmHWM:\s*(\d+) kB", done.stderr).group(1))
     return run

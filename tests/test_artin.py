@@ -13,8 +13,11 @@ from primroots.artin import (
     conjecture_scan,
     least_prime_with_primitive_root,
     prime_counts,
+    reference_artin_constant,
     summarize_scan,
 )
+from primroots.charsum import decompose_interval
+from primroots.factorize import euler_phi, factor
 from primroots.primroot import multiplicative_order
 from primroots.special_primes import germain_decompose, sieve_primes
 
@@ -83,6 +86,37 @@ def test_prime_counts_monotone_and_bounded():
         assert rep.pi_q_x >= last
         assert 0.0 <= rep.density <= 1.0
         last = rep.pi_q_x
+
+
+def test_reference_artin_constant_is_the_product_to_10_6():
+    assert reference_artin_constant() == artin_constant(10**6).value
+
+
+def test_prime_counts_builds_no_reference_table(monkeypatch, package_caches):
+    monkeypatch.setattr(factorize, "_spf", np.zeros(2, dtype=np.uint16))
+    monkeypatch.setattr(factorize, "_primes", np.zeros(0, dtype=np.int64))
+    for cache in package_caches:
+        cache.cache_clear()
+    assert prime_counts(7, 1000).pi_x == 168
+    assert len(factorize._spf) <= 1001
+
+
+def test_block_edges_change_no_count(monkeypatch):
+    # q = 30030 = 2*3*5*7*11*13 strikes primes from the first blocks, and
+    # q = 15 empties the only block of [3, 6].
+    grid = [(q, n) for q in (2, 3, 15, 30030) for n in (3, 7, 10, 64, 100, 1000)]
+
+    def results():
+        return [(prime_counts(q, n), decompose_interval(n, q)) for q, n in grid]
+    whole = results()
+    monkeypatch.setattr(artin, "_BLOCK", 7)
+    assert results() == whole
+    for q, z in grid:
+        t = 0.0
+        for p in sieve_primes(2 * z):
+            if p >= z and q % p:
+                t += euler_phi(factor(p - 1)) / p
+        assert decompose_interval(z, q).trivial_term == t, (z, q)
 
 
 def test_prime_counts_domain():

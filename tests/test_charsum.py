@@ -2,9 +2,7 @@ import cmath
 import csv
 import json
 import math
-import os
 import random
-import re
 
 import numpy as np
 import pytest
@@ -168,28 +166,19 @@ def test_psi_divisor_dependent_at_five_prime_factors():
         assert psi_divisor_dependent(u, p).value == is_primitive_root_prime(u, p), u
 
 
-# Runs one CLI argv and prints the process's own /proc/self/status to stderr.
-_CHILD = """import sys
-from primroots.cli import run
-code = run(sys.argv[1:])
-print(open("/proc/self/status").read(), file=sys.stderr)
-sys.exit(code)
-"""
-
-
 CEILING_PRIME = 16777213  # the largest prime below TABLE_LIMIT = 2^24
 
 
-@pytest.mark.parametrize("method", ("divisor", "free"))
-def test_psi_at_the_table_ceiling_peaks_under_256_mb(method, fresh_python):
-    if not os.path.exists("/proc/self/status"):
-        pytest.skip("the process's own peak is read from /proc/self/status")
-    p = CEILING_PRIME
-    done = fresh_python("-c", _CHILD, "psi", "--u", "2", "--p", str(p), "--method", method,
-                        text=True)
-    rows = list(csv.DictReader(done.stdout.splitlines()))
-    assert [(r["p"], r["value"]) for r in rows] == [(str(p), "0")]
-    peak_kb = int(re.search(r"VmHWM:\s*(\d+) kB", done.stderr).group(1))
+@pytest.mark.parametrize("method, p, value", (
+    pytest.param("divisor", CEILING_PRIME, "0", id="divisor"),
+    pytest.param("free", CEILING_PRIME, "0", id="free"),
+    # The largest safe prime below 2^24: S_ell for ell = (p - 1)/2 spans 8388448 terms.
+    pytest.param("divisor", 16776899, "1", id="divisor-16776899"),
+))
+def test_psi_at_the_table_ceiling_peaks_under_256_mb(method, p, value, cli_peak):
+    out, peak_kb = cli_peak("psi", "--u", "2", "--p", str(p), "--method", method)
+    rows = list(csv.DictReader(out.splitlines()))
+    assert [(r["p"], r["value"]) for r in rows] == [(str(p), value)]
     assert peak_kb < 256 * 1024, f"{peak_kb} kB"
 
 

@@ -185,6 +185,25 @@ def test_table_sizes_past_the_ceiling_are_refused(argv, capsys):
     assert factorize._spf is table  # refused before the table was built or grew
 
 
+# The worst accepted argv of the table-sized subcommands, with the number of
+# stdout lines and the last one. At SIEVE_LIMIT the prime table alone (SPF
+# and the int64 primes) takes about 250 MB.
+@pytest.mark.slow
+@pytest.mark.parametrize("argv, lines, last", [
+    (["density", "--q", "2", "--x", str(SIEVE_LIMIT)], 2,
+     "2,100000000,5761455,2154733,0.373991118563,0.373955838964,1.00009434162"),
+    (["interval", "--z", str(SIEVE_LIMIT // 2), "--q", "2"], 2,
+     "50000000,2,1032363,1032270.98099,92.0190058479,1032361.91558"),
+    (["germain", "--limit", str(SIEVE_LIMIT)], 481047, "99999617,7,781247"),
+    (["artin-constant", "--cutoff", str(SIEVE_LIMIT)], 2, "100000000,0.37395581384,1e-08"),
+], ids=["density", "interval", "germain", "artin-constant"])
+def test_table_sizes_at_the_ceiling_peak_under_512_mb(argv, lines, last, cli_peak):
+    out, peak_kb = cli_peak(*argv)
+    rows = out.splitlines()
+    assert (len(rows), rows[-1]) == (lines, last)
+    assert peak_kb < 512 * 1024, f"{peak_kb} kB"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["artin-constant", "--cutoff", "1"], "cutoff must be >= 2, got 1"),
     (["k2n", "--k", "3", "--nmax", "-1"], "nmax must be nonnegative, got -1"),
