@@ -12,7 +12,13 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 
 from .arith import DomainError, check_natural, is_perfect_square
-from .factorize import check_sieve_limit, distinct_prime_factors, is_prime, primes_upto
+from .factorize import (
+    _BLOCK,
+    check_sieve_limit,
+    distinct_prime_factors,
+    is_prime,
+    primes_upto,
+)
 from .primroot import _passes, _test_exponents, primitive_root_mask
 from .special_primes import germain_decompose
 
@@ -20,11 +26,6 @@ DEFAULT_SCAN_CAP = 10**5
 # A scan holds its rows in memory, about 440 bytes a base: 10^6 bases is
 # about 0.45 GB and 15 s of CPU on one core.
 SCAN_SPAN_LIMIT = 10**6
-# The range counters test this many primes at a time, and charsum sums this
-# many terms of a character sum at a time, so their peak memory is that of
-# the table they read plus a fixed amount, however wide the range.
-_BLOCK = 1 << 16
-
 # Below e^e the (log log q)^3 factor is <= 1 and the conjectured bound is
 # degenerate; rows for q < 16 carry the raw least prime and no ratio.
 BOUND_MIN_Q = 16

@@ -16,8 +16,8 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import DomainError, check_natural, log_integral
-from .artin import _BLOCK, _check_base, _prime_blocks, reference_artin_constant
-from .factorize import check_sieve_limit, factor, totients
+from .artin import _check_base, _prime_blocks, reference_artin_constant
+from .factorize import _BLOCK, check_sieve_limit, factor, totients
 from .primroot import _passes, _require_prime, _test_exponents, least_primitive_root
 
 ROUNDING_TOLERANCE = 1e-6

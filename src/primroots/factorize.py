@@ -23,6 +23,12 @@ from .arith import DomainError, check_natural
 # ceiling. Every input that sizes the table is refused above it.
 SIEVE_LIMIT = 10**8
 
+# The range counters and germain_forms test this many primes at a time, and
+# charsum sums this many terms of a character sum at a time, so their peak
+# memory is that of the table they read plus a fixed amount, however wide
+# the range.
+_BLOCK = 1 << 16
+
 # Witnesses proving n < 2^64 composite or prime with no exceptions
 # (Sinclair's 7-witness set).
 _MR_WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)

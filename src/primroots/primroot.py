@@ -7,8 +7,10 @@ of maximal order lambda(n): Z/nZ is not cyclic in general, and that is
 the only reading under which the lift is well-formed.
 
 ``primitive_root_mask`` is the batched form of the F_p test for one base
-over an array of sieved primes; the scalar functions stay the reference it
-is tested against.
+over an array of sieved primes. It runs one factor row at a time, Euler's
+criterion (l = 2) first, and each row tests only the primes that passed the
+rows before it; the scalar functions stay the reference it is tested
+against.
 """
 
 from dataclasses import dataclass
@@ -106,9 +108,11 @@ def primitive_root_mask(q: int, primes, rows):
 
     ``rows`` holds the distinct primes of each p - 1 (as returned by
     ``distinct_prime_factors(primes - 1)``). Entry j is True iff
-    q^((p-1)/l) != 1 mod p for every l | p-1, by square-and-multiply over
-    all (p, l) pairs at once; it is False where p divides q. The primes are
-    trusted: callers pass sieved primes, at most SIEVE_LIMIT.
+    q^((p-1)/l) != 1 mod p for every l | p-1; it is False where p divides
+    q. The rows run in order, each as one square-and-multiply over the
+    primes still passing: row 0 is l = 2 for every odd p, so Euler's
+    criterion drops about half the primes before any other row runs. The
+    primes are trusted: callers pass sieved primes, at most SIEVE_LIMIT.
     """
     import numpy as np
 
@@ -116,21 +120,22 @@ def primitive_root_mask(q: int, primes, rows):
     if primes.size and primes.max() > SIEVE_LIMIT:
         raise DomainError(f"primes past SIEVE_LIMIT = {SIEVE_LIMIT} would overflow int64")
     residues = q % primes
-    tested = rows > 1
-    mod = np.broadcast_to(primes, rows.shape)[tested]
-    exponent = (mod - 1) // rows[tested]
-    base = np.broadcast_to(residues, rows.shape)[tested]
-    power = np.ones_like(mod)
-    product = np.empty_like(mod)
-    while exponent.any():
-        np.multiply(power, base, out=product)
-        np.remainder(product, mod, out=power, where=(exponent & 1).astype(bool))
-        np.multiply(base, base, out=base)
-        np.remainder(base, mod, out=base)
-        exponent >>= 1
-    passed = np.ones(rows.shape, dtype=bool)
-    passed[tested] = power != 1
-    return passed.all(axis=0) & (residues != 0)
+    passed = residues != 0
+    for ell in rows:
+        live = np.flatnonzero(passed & (ell > 1))
+        mod = primes[live]
+        exponent = (mod - 1) // ell[live]
+        base = residues[live]
+        power = np.ones_like(mod)
+        product = np.empty_like(mod)
+        while exponent.any():
+            np.multiply(power, base, out=product)
+            np.remainder(product, mod, out=power, where=(exponent & 1).astype(bool))
+            np.multiply(base, base, out=base)
+            np.remainder(base, mod, out=base)
+            exponent >>= 1
+        passed[live] = power != 1
+    return passed
 
 
 def is_lambda_primitive_root(u: int, n: int) -> bool:

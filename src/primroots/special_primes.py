@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .arith import NATURAL_MAX, DomainError, check_natural, jacobi
-from .factorize import is_prime, primes_upto
+from .factorize import _BLOCK, is_prime, primes_upto
 
 FERMAT_PRIMES = (3, 5, 17, 257, 65537)
 
@@ -57,14 +57,21 @@ def germain_decompose(p: int):
 
 def germain_forms(limit: int) -> tuple:
     """germain_decompose for every prime p <= limit, read from the sieve: arrays
-    (p, s, r) of the p whose odd part r of p - 1 is in primes_upto(limit)."""
+    (p, s, r) of the p whose odd part r of p - 1 is in primes_upto(limit).
+    The primes are tested in blocks of _BLOCK, so the temporaries stay small
+    beside the prime table."""
     import numpy as np
 
     primes = primes_upto(limit)
-    two_power = (primes - 1) & (1 - primes)  # the largest power of 2 dividing p - 1
-    r = (primes - 1) // two_power
-    keep = primes[np.searchsorted(primes, r).clip(max=primes.size - 1)] == r
-    return primes[keep], np.frexp(two_power[keep])[1] - 1, r[keep]
+    keep = np.zeros(primes.size, dtype=bool)
+    for start in range(0, primes.size, _BLOCK):
+        block = primes[start : start + _BLOCK]
+        r = (block - 1) // ((block - 1) & (1 - block))
+        hit = primes[np.searchsorted(primes, r).clip(max=primes.size - 1)] == r
+        keep[start : start + _BLOCK] = hit
+    p = primes[keep]
+    two_power = (p - 1) & (1 - p)  # the largest power of 2 dividing p - 1
+    return p, np.frexp(two_power)[1] - 1, (p - 1) // two_power
 
 
 def germain_primitive_root_test(q: int, g: GermainForm) -> bool:

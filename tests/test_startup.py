@@ -62,6 +62,13 @@ def test_scalar_commands_load_no_numpy_and_charsum_does(fresh_python):
     assert "numpy" in done["after"]  # charsum pays for numpy at its import
 
 
+def test_python_m_primroots_runs_the_cli_and_import_does_not(fresh_python):
+    case = next(c for c in GOLDEN if c["argv"][0] == "density" and c["exit"] == 0)
+    assert fresh_python("-m", "primroots", *case["argv"], text=True).stdout == case["stdout"]
+    fresh_python("-c", "import sys, primroots, primroots.cli\n"
+                       "assert 'primroots.__main__' not in sys.modules")
+
+
 def _bits(value):
     """A value with every float and array spelled out exactly."""
     if isinstance(value, np.ndarray):

@@ -75,6 +75,46 @@ def test_batched_mask_matches_scalar_test_to_3e4(q):
             assert batched == is_primitive_root_prime(q, p), (q, p)
 
 
+def test_batched_mask_at_sweep_scale_in_any_row_order():
+    # Every odd prime to 10^6; the bases include 997, a prime in range.
+    primes = primes_upto(10**6)[1:]
+    rows = distinct_prime_factors(primes - 1)
+    bases = (2, 7, 510, 997)
+    masks = [primitive_root_mask(q, primes, rows) for q in bases]
+    # Reversed rows put the padding first and l = 2 last.
+    for q, mask in zip(bases, masks):
+        assert np.array_equal(primitive_root_mask(q, primes, rows[::-1]), mask), q
+    # Primes outer, so factor(p - 1) is cached once for all four bases.
+    for j, p in enumerate(primes.tolist()):
+        for q, mask in zip(bases, masks):
+            expected = q % p != 0 and is_primitive_root_prime(q, p)
+            assert mask[j] == expected, (q, p)
+
+
+@pytest.fixture(scope="module")
+def top_window():
+    """The primes in [SIEVE_LIMIT - 2 * 10^5, SIEVE_LIMIT] with the rows of
+    each p - 1, found by is_prime and factor, so no 10^8 table is built."""
+    primes = [n for n in range(SIEVE_LIMIT - 2 * 10**5, SIEVE_LIMIT + 1) if is_prime(n)]
+    ells = [[ell for ell, _ in factor(p - 1).factors] for p in primes]
+    rows = np.ones((max(map(len, ells)), len(primes)), dtype=np.int64)
+    for j, column in enumerate(ells):
+        rows[: len(column), j] = column
+    return np.array(primes, dtype=np.int64), rows
+
+
+# 99999989 is a prime in the top window, so one base is not a unit there.
+@pytest.mark.parametrize("q", BASES + (3 * 99999989,))
+def test_batched_mask_at_the_top_of_its_int64_range(q, top_window):
+    primes, rows = top_window
+    mask = primitive_root_mask(q, primes, rows)
+    for p, batched in zip(primes.tolist(), mask.tolist()):
+        if q % p == 0:
+            assert not batched, (q, p)
+        else:
+            assert batched == is_primitive_root_prime(q, p), (q, p)
+
+
 def test_batched_mask_edge_cases():
     empty = np.array([], dtype=np.int64)
     assert primitive_root_mask(2, empty, distinct_prime_factors(empty)).tolist() == []
